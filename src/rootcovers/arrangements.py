@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -256,7 +256,7 @@ class ResolvedCurve:
     kind: str  # "proper" or "exceptional"
     genus: int
     self_int: int
-    source: str  # originating curve id, or "point:<index>" for blow-ups
+    curves: tuple[str, ...]  # arrangement curves whose mu sum to this divisor's nu
 
 
 @dataclass
@@ -305,7 +305,7 @@ def resolve(a: Arrangement) -> ResolvedArrangement:
             kind="proper",
             genus=c.genus,
             self_int=c.self_int - incident_heavy[c.id],
-            source=c.id,
+            curves=(c.id,),
         )
         for c in a.curves
     ]
@@ -322,7 +322,7 @@ def resolve(a: Arrangement) -> ResolvedArrangement:
                 kind="exceptional",
                 genus=0,
                 self_int=-1,
-                source=f"point:{k + 1}",
+                curves=pt.curves,
             )
         )
         for cid in pt.curves:

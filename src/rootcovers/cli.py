@@ -12,7 +12,8 @@ numth                                debug access to the exact kernels
 Every emitted result embeds its run manifest (command, inputs, seed, C,
 tool version), and reruns with the same manifest produce byte-identical
 output.  Exit codes: 0 ok, 2 validation/parse, 3 budget, 4 sampling
-exhausted, 5 table mismatch.
+exhausted, 5 table mismatch, 6 internal error (a failed cross-check: a
+bug, never bad input).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import arrangements as arr
 from . import covers, numth, partitions, tables
 from .errors import (
     BudgetError,
-    EmptySolutionSetError,
+    ConsistencyError,
     ExhaustedTries,
     RootCoversError,
     ValidationError,
@@ -38,6 +39,7 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_EXHAUSTED = 4
 EXIT_TABLE_MISMATCH = 5
+EXIT_INTERNAL = 6
 
 _GENERATORS = {
     "general-lines": (arr.gen_general_lines, 1, "d"),
@@ -121,7 +123,7 @@ def _cmd_arrangement(args) -> int:
             sys.stdout.write(text)
         return EXIT_OK
 
-    a = _load_arrangement(args.arrangement)
+    a = arr.load(args.arrangement)
     data = arr.validate(a)
     out = _Output(args.out)
     if args.action == "validate":
@@ -286,8 +288,6 @@ def _cmd_tables(args) -> int:
 
 
 def _parse_primes(text: str) -> list[int]:
-    from .numth import primes_between
-
     primes: list[int] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -295,7 +295,7 @@ def _parse_primes(text: str) -> list[int]:
             continue
         if "-" in chunk:
             lo_s, hi_s = chunk.split("-", 1)
-            primes.extend(primes_between(int(lo_s), int(hi_s)))
+            primes.extend(numth.primes_between(int(lo_s), int(hi_s)))
         else:
             value = int(chunk)
             if not is_prime(value):
@@ -471,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("badset", help="Farey bad-set statistics")
     pb.add_argument("--p", type=int, required=True)
     pb.add_argument("--C", type=_parse_rational, default=Fraction(1))
-    pb.add_argument("--stats", action="store_true", default=True)
     pb.add_argument("--list", action="store_true")
     pb.add_argument("--out", default=None)
 
@@ -510,9 +509,9 @@ def main(argv=None) -> int:
     except ExhaustedTries as exc:
         print(f"error (sampling): {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except (ValidationError, EmptySolutionSetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except ConsistencyError as exc:
+        print(f"internal error (a bug, not bad input): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (RootCoversError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

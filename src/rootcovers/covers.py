@@ -28,7 +28,7 @@ from .arrangements import (
     log_chern_resolved,
     resolve,
 )
-from .errors import BudgetError, ConsistencyError, ExhaustedTries, NonIntegral
+from .errors import ConsistencyError, ExhaustedTries, NonIntegral
 from .numth import (
     DEFAULT_FAREY,
     FareyConfig,
@@ -54,9 +54,6 @@ __all__ = [
     "c1_sq",
     "c2",
     "report",
-    "floor_sum_oracle",
-    "floor_sum_S",
-    "weighted_floor_sum",
     "convergence_scan",
     "ScanSample",
     "ScanSummary",
@@ -137,59 +134,45 @@ def _as_int(value: Fraction, what: str) -> int:
     return int(value)
 
 
-def _chi_value(spec: CoverSpec, terms: ErrorTerms) -> Fraction:
-    """chi before the integrality assertion (rational for invalid cover data,
-    i.e. when no p-th root of the weighted divisor exists)."""
+def _invariants(spec: CoverSpec, terms: ErrorTerms) -> tuple[Fraction, Fraction, int]:
+    """(chi, c1^2, c2) before the integrality assertions.
+
+    chi and c1^2 stay rational here: for invalid cover data (no p-th root
+    of the weighted divisor exists) they need not be integers.
+    """
     p = spec.p
     ra = spec.resolved
+    lc = log_chern_resolved(ra)
     node_weight = ra.t2_total + 2 * ra.sum_genus_defect
-    return (
+    chi_v = (
         p * ra.surface.chi
         - Fraction((p * p - 1) * ra.sum_self_int, 12 * p)
         + Fraction((p - 1) * node_weight, 4)
         - terms.scf
     )
-
-
-def _chi_from_terms(spec: CoverSpec, terms: ErrorTerms) -> int:
-    return _as_int(_chi_value(spec, terms), "chi")
-
-
-def _c1_sq_from_terms(spec: CoverSpec, terms: ErrorTerms) -> int:
-    p = spec.p
-    ra = spec.resolved
-    lc = log_chern_resolved(ra)
-    node_weight = ra.t2_total + 2 * ra.sum_genus_defect
-    value = (
+    c1_v = (
         p * lc.c1bar_sq
         - 2 * node_weight
         + Fraction(ra.sum_self_int, p)
         - terms.ccf
     )
-    return _as_int(value, "c1^2")
-
-
-def _c2_from_terms(spec: CoverSpec, terms: ErrorTerms) -> int:
-    p = spec.p
-    ra = spec.resolved
-    lc = log_chern_resolved(ra)
-    node_weight = ra.t2_total + 2 * ra.sum_genus_defect
-    return p * lc.c2bar - node_weight + terms.lcf
+    c2_v = p * lc.c2bar - node_weight + terms.lcf
+    return chi_v, c1_v, c2_v
 
 
 def chi(spec: CoverSpec) -> int:
     """Holomorphic Euler characteristic of the cover (exact, integral)."""
-    return _chi_from_terms(spec, _error_terms(spec))
+    return _as_int(_invariants(spec, _error_terms(spec))[0], "chi")
 
 
 def c1_sq(spec: CoverSpec) -> int:
     """First Chern number of the cover (exact, integral)."""
-    return _c1_sq_from_terms(spec, _error_terms(spec))
+    return _as_int(_invariants(spec, _error_terms(spec))[1], "c1^2")
 
 
 def c2(spec: CoverSpec) -> int:
     """Second Chern number (topological Euler number) of the cover."""
-    return _c2_from_terms(spec, _error_terms(spec))
+    return _invariants(spec, _error_terms(spec))[2]
 
 
 @dataclass(frozen=True)
@@ -223,9 +206,9 @@ def report(spec: CoverSpec) -> ChernReport:
     error.  For non-good assignments the bounds are reported only.
     """
     terms = _error_terms(spec)
-    chi_v = _chi_from_terms(spec, terms)
-    c1_v = _c1_sq_from_terms(spec, terms)
-    c2_v = _c2_from_terms(spec, terms)
+    chi_q, c1_q, c2_v = _invariants(spec, terms)
+    chi_v = _as_int(chi_q, "chi")
+    c1_v = _as_int(c1_q, "c1^2")
     if 12 * chi_v != c1_v + c2_v:
         raise ConsistencyError(
             f"12 chi = {12 * chi_v} but c1^2 + c2 = {c1_v + c2_v}; "
@@ -250,118 +233,6 @@ def report(spec: CoverSpec) -> ChernReport:
         bounds_ok=bounds,
         n_nodes=n_nodes,
     )
-
-
-# ---------------------------------------------------------------------------
-# Raw floor-sum oracle (independent O(p) route to chi and the Dedekind part)
-
-
-def floor_sum_S(a: int, b: int, p: int) -> int:
-    """S(a,b;p) = sum_{i=1}^{p-1} [a i / p] [b i / p], by running remainders."""
-    total = 0
-    ra = rb = 0
-    qa = qb = 0
-    for _ in range(1, p):
-        ra += a
-        if ra >= p:
-            ra -= p
-            qa += 1
-        rb += b
-        if rb >= p:
-            rb -= p
-            qb += 1
-        total += qa * qb
-    return total
-
-
-def weighted_floor_sum(a: int, p: int) -> int:
-    """sum_{i=1}^{p-1} i [a i / p]."""
-    total = 0
-    r = 0
-    q = 0
-    for i in range(1, p):
-        r += a
-        if r >= p:
-            r -= p
-            q += 1
-        total += i * q
-    return total
-
-
-def floor_sum_oracle(
-    spec: CoverSpec, max_p: int = 10_000
-) -> tuple[Fraction, Fraction]:
-    """Recompute (chi, scf) from the raw bracket sums, no Dedekind machinery.
-
-    chi comes from summing the self-products of the p twisting classes:
-    with r_j(i) = nu_j i mod p,
-
-      chi = p chi(Y) + (1/2p^2) sum_i sum_{j,k} r_j(i) r_k(i) D_j.D_k
-                     + (p-1)/4 * sum_j K.D_j,
-
-    where K.D_j = 2 g_j - 2 - D_j^2 and the middle sum runs over ordered
-    pairs (the diagonal carries D_j^2).  The Dedekind part is recovered per
-    node from S(a,a;p), S(b,b;p), S(a,b;p) alone.  O(p) per divisor pair,
-    so gated by `max_p`.
-
-    Both values are returned as exact rationals: they equal chi(spec) and
-    the engine's scf whenever the multiplicities come from an actual
-    solution of the block system, and the rational equality holds for
-    arbitrary nu in (0, p) as well.
-    """
-    p = spec.p
-    if p > max_p:
-        raise BudgetError(f"floor-sum oracle at p={p} exceeds the budget {max_p}")
-    ra = spec.resolved
-    divisors = ra.divisors
-    nu = [spec.nu.nu[d.id] for d in divisors]
-    pairs = sorted(ra.nodes.items())
-
-    # chi from the quadratic floor-sum accumulation
-    acc = 0
-    rem = [0] * len(divisors)
-    diag = [(j, d.self_int) for j, d in enumerate(divisors)]
-    for _ in range(1, p):
-        for j, nj in enumerate(nu):
-            t = rem[j] + nj
-            if t >= p:
-                t -= p
-            rem[j] = t
-        row = 0
-        for j, self_int in diag:
-            row += rem[j] * rem[j] * self_int
-        for (j, k), count in pairs:
-            row += 2 * rem[j] * rem[k] * count
-        acc += row
-    k_sum = sum(2 * d.genus - 2 - d.self_int for d in divisors)
-    chi_val = (
-        p * ra.surface.chi
-        + Fraction(acc, 2 * p * p)
-        + Fraction((p - 1) * k_sum, 4)
-    )
-
-    # Dedekind part per node from the three bracket sums
-    s_cache: dict[tuple[int, int], int] = {}
-
-    def S(a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        if key not in s_cache:
-            s_cache[key] = floor_sum_S(key[0], key[1], p)
-        return s_cache[key]
-
-    scf = Fraction(0)
-    for (j, k), count in pairs:
-        a, b = nu[j], nu[k]
-        comb_val = (
-            -Fraction(a, b) * S(b, b) - Fraction(b, a) * S(a, a) + 2 * S(a, b)
-        )
-        closed = Fraction(
-            (1 - p) * (a * a * (2 * p - 1) + b * b * (2 * p - 1) - 3 * a * b * p),
-            6 * a * b * p,
-        )
-        s_ab = (comb_val - closed) / 2  # = s(a' b, p)
-        scf += count * (-s_ab)  # s(p - a' b, p) = -s(a' b, p)
-    return chi_val, scf
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +293,8 @@ def convergence_scan(
     (seed * 1000003 + p) * 1000003 + k.  A prime where sampling exhausts
     its tries is skipped with a record.
     """
+    if samples_per_prime < 1:
+        raise ValueError(f"need at least 1 sample per prime, got {samples_per_prime}")
     lc = log_chern_direct(arrangement)
     if lc.c2bar == 0:
         raise ValueError("the log Chern ratio is undefined (c2bar = 0)")

@@ -37,7 +37,6 @@ __all__ = [
     "ncf_expand",
     "ncf_eval",
     "ncf_length",
-    "ncf_convergents",
     "canonical_part",
     "dedekind_brute",
     "dedekind_fast",
@@ -58,6 +57,8 @@ __all__ = [
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Miller-Rabin with the witnesses above is deterministic below this bound.
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+# Widest [lo, hi] that primes_between will scan.
+MAX_PRIME_RANGE = 1_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -88,15 +89,16 @@ def is_prime(n: int) -> bool:
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, by sieve."""
-    if hi < 2:
-        return []
-    sieve = bytearray(b"\x01") * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(hi) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(max(lo, 2), hi + 1) if sieve[i]]
+    """All primes p with lo <= p <= hi, tested one by one.
+
+    Time and memory depend on the width of the range, not on hi; a range
+    of more than MAX_PRIME_RANGE integers raises BudgetError.
+    """
+    if hi - lo >= MAX_PRIME_RANGE:
+        raise BudgetError(
+            f"prime range {lo}-{hi} spans more than {MAX_PRIME_RANGE} integers"
+        )
+    return [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,6 @@ class PrimeModulus:
     def __post_init__(self):
         if self.p < 3 or not is_prime(self.p):
             raise ValueError(f"modulus must be a prime >= 3, got {self.p}")
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __index__(self) -> int:
-        return self.p
 
 
 def _check_residue(q: int, p: int) -> None:
@@ -145,13 +141,6 @@ class NcfExpansion:
     @property
     def length(self) -> int:
         return len(self.e)
-
-    @property
-    def partial_quotient_sum(self) -> int:
-        return sum(self.e)
-
-    def fraction(self) -> Fraction:
-        return Fraction(self.b[0], self.b[1])
 
 
 def ncf_expand(q: int, p: int) -> NcfExpansion:
@@ -185,11 +174,7 @@ def ncf_eval(e) -> Fraction:
 def ncf_length(q: int, p: int) -> int:
     """Number of partial quotients of p/q; equals ncf_expand(q, p).length."""
     _check_residue(q, p)
-    prev, cur, s = p, q, 0
-    while cur:
-        prev, cur = cur, cur * (-(-prev // cur)) - prev
-        s += 1
-    return s
+    return _ncf_stats(q, p)[0]
 
 
 def _ncf_stats(q: int, p: int) -> tuple[int, int]:
@@ -201,23 +186,6 @@ def _ncf_stats(q: int, p: int) -> tuple[int, int]:
         s += 1
         tot += quot
     return s, tot
-
-
-def ncf_convergents(e) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Numerator/denominator chains P_i, Q_i of [e_1..e_i], i = 0..s.
-
-    P_{-1}=0, P_0=1, P_{i+1} = e_{i+1} P_i - P_{i-1}, and likewise for Q
-    with Q_{-1}=-1, Q_0=0.  Returned tuples start at index 0, so
-    (P_s, Q_s) sits at position s and [e_1..e_s] = P_s/Q_s.
-    """
-    P = [1]
-    Q = [0]
-    prev_p, prev_q = 0, -1
-    for ei in e:
-        P.append(ei * P[-1] - prev_p)
-        Q.append(ei * Q[-1] - prev_q)
-        prev_p, prev_q = P[-2], Q[-2]
-    return tuple(P), tuple(Q)
 
 
 def canonical_part(q: int, p: int) -> Fraction:

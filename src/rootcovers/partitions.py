@@ -124,17 +124,23 @@ def _suffix_counts(u: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ..
     return tuple(levels)
 
 
+def _suffix_table(u: tuple[int, ...], target: int, cell_budget: int):
+    """_suffix_counts(u, target), refused when its table exceeds cell_budget."""
+    k = len(u)
+    if k * (target + 1) > cell_budget:
+        raise BudgetError(
+            f"suffix table of {k}x{target + 1} cells exceeds the budget {cell_budget}"
+        )
+    return _suffix_counts(u, target)
+
+
 def _block_count(block: DiophBlock, p: int, cell_budget: int) -> int:
     k = len(block.u)
     if p < sum(block.u):
         return 0
     if all(w == 1 for w in block.u):
         return comb(p - 1, k - 1)
-    if k * (p + 1) > cell_budget:
-        raise BudgetError(
-            f"suffix table of {k}x{p + 1} cells exceeds the budget {cell_budget}"
-        )
-    return _suffix_counts(block.u, p)[0][p]
+    return _suffix_table(block.u, p, cell_budget)[0][p]
 
 
 def count_solutions(sys: DiophSystem, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
@@ -186,11 +192,7 @@ def _sample_dp_block(
 ) -> list[int]:
     """Uniform solution of a general weighted block via suffix counts."""
     k = len(u)
-    if k * (target + 1) > cell_budget:
-        raise BudgetError(
-            f"suffix table of {k}x{target + 1} cells exceeds the budget {cell_budget}"
-        )
-    S = _suffix_counts(u, target)
+    S = _suffix_table(u, target, cell_budget)
     if S[0][target] == 0:
         raise EmptySolutionSetError(f"no positive solution of {u} . mu = {target}")
     parts = []
@@ -229,9 +231,6 @@ class PartitionSolution:
                 raise ValidationError(
                     "mu-range", f"mu[{cid}] = {value} is outside (0, {self.p})"
                 )
-
-    def block_values(self, block: DiophBlock) -> list[int]:
-        return [self.mu[cid] for cid in block.curve_ids]
 
 
 def validate_solution(sys: DiophSystem, sol: PartitionSolution) -> None:
@@ -320,29 +319,26 @@ def assign(
 ) -> MultiplicityAssignment:
     """Push mu down to every divisor of the log resolution.
 
-    Proper transforms keep their mu; a blow-up divisor over a point gets
-    the sum of the incident mu mod p.  A zero sum makes the cover data
-    invalid, so the solution must be rejected (ExceptionalVanishes).
+    Each divisor gets the sum of the mu over its curves mod p: a proper
+    transform keeps its own mu, and a blow-up divisor gets the sum over the
+    curves through its point.  A zero sum makes the cover data invalid, so
+    the solution must be rejected (ExceptionalVanishes).
     """
     p = sol.p
-    heavy = [pt for pt in resolved.arrangement.points if len(pt.curves) >= 3]
     nu: dict[str, int] = {}
     for div in resolved.divisors:
-        if div.kind == "proper":
-            if div.source not in sol.mu:
+        for cid in div.curves:
+            if cid not in sol.mu:
                 raise ValidationError(
-                    "mu-missing", f"solution has no mu for curve {div.source!r}"
+                    "mu-missing", f"solution has no mu for curve {cid!r}"
                 )
-            nu[div.id] = sol.mu[div.source]
-        else:
-            point = heavy[int(div.source.split(":")[1]) - 1]
-            total = sum(sol.mu[cid] for cid in point.curves) % p
-            if total == 0:
-                raise ExceptionalVanishes(
-                    f"blow-up divisor {div.id} over {point.curves} "
-                    f"gets multiplicity 0 mod {p}"
-                )
-            nu[div.id] = total
+        total = sum(sol.mu[cid] for cid in div.curves) % p
+        if total == 0:
+            raise ExceptionalVanishes(
+                f"blow-up divisor {div.id} over {div.curves} "
+                f"gets multiplicity 0 mod {p}"
+            )
+        nu[div.id] = total
     return MultiplicityAssignment(p, nu)
 
 

@@ -73,25 +73,15 @@ def run_table(name: str) -> TableRun:
         sysd = system_for(arrangement, p)
         sol = solution_from_parts(sysd, parts)
         rep = report(CoverSpec(p, resolved, assign(resolved, sol)))
-        expected = {}
-        computed = {}
-        if "c1_sq" in row:
-            expected["c1_sq"] = row["c1_sq"]
-            computed["c1_sq"] = rep.c1_sq
-        if "c2" in row:
-            expected["c2"] = row["c2"]
-            computed["c2"] = rep.c2
-        if "ratio_c" in row:
-            expected["ratio_c"] = row["ratio_c"]
-            computed["ratio_c"] = truncate_decimal(rep.ratio_c, decimals)
-        if "ratio_chi" in row:
-            expected["ratio_chi"] = row["ratio_chi"]
-            computed["ratio_chi"] = truncate_decimal(rep.ratio_chi, decimals)
-        if "ratio_c_exact" in row:
-            expected["ratio_c_exact"] = row["ratio_c_exact"]
-            computed["ratio_c_exact"] = (
-                f"{rep.ratio_c.numerator}/{rep.ratio_c.denominator}"
-            )
+        values = {
+            "c1_sq": rep.c1_sq,
+            "c2": rep.c2,
+            "ratio_c": truncate_decimal(rep.ratio_c, decimals),
+            "ratio_chi": truncate_decimal(rep.ratio_chi, decimals),
+            "ratio_c_exact": f"{rep.ratio_c.numerator}/{rep.ratio_c.denominator}",
+        }
+        expected = {key: row[key] for key in values if key in row}
+        computed = {key: values[key] for key in expected}
         ok = all(expected[k] == computed[k] for k in expected)
         rows.append(TableRow(index, p, parts, expected, computed, ok))
     return TableRun(name, doc.get("title", name), tuple(rows))

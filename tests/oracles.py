@@ -1,0 +1,136 @@
+"""Slow reference routes that the package's results are tested against.
+
+Each recomputes a quantity of the package by independent, naive O(p)
+arithmetic; they live beside the tests because nothing in the package
+needs them.
+"""
+
+from fractions import Fraction
+
+from rootcovers.covers import CoverSpec
+from rootcovers.errors import BudgetError
+
+
+def ncf_convergents(e) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Numerator/denominator chains P_i, Q_i of [e_1..e_i], i = 0..s.
+
+    P_{-1}=0, P_0=1, P_{i+1} = e_{i+1} P_i - P_{i-1}, and likewise for Q
+    with Q_{-1}=-1, Q_0=0.  Returned tuples start at index 0, so
+    (P_s, Q_s) sits at position s and [e_1..e_s] = P_s/Q_s.
+    """
+    P = [1]
+    Q = [0]
+    prev_p, prev_q = 0, -1
+    for ei in e:
+        P.append(ei * P[-1] - prev_p)
+        Q.append(ei * Q[-1] - prev_q)
+        prev_p, prev_q = P[-2], Q[-2]
+    return tuple(P), tuple(Q)
+
+
+def floor_sum_S(a: int, b: int, p: int) -> int:
+    """S(a,b;p) = sum_{i=1}^{p-1} [a i / p] [b i / p], by running remainders."""
+    total = 0
+    ra = rb = 0
+    qa = qb = 0
+    for _ in range(1, p):
+        ra += a
+        if ra >= p:
+            ra -= p
+            qa += 1
+        rb += b
+        if rb >= p:
+            rb -= p
+            qb += 1
+        total += qa * qb
+    return total
+
+
+def weighted_floor_sum(a: int, p: int) -> int:
+    """sum_{i=1}^{p-1} i [a i / p]."""
+    total = 0
+    r = 0
+    q = 0
+    for i in range(1, p):
+        r += a
+        if r >= p:
+            r -= p
+            q += 1
+        total += i * q
+    return total
+
+
+def floor_sum_oracle(
+    spec: CoverSpec, max_p: int = 10_000
+) -> tuple[Fraction, Fraction]:
+    """Recompute (chi, scf) from the raw bracket sums, no Dedekind machinery.
+
+    chi comes from summing the self-products of the p twisting classes:
+    with r_j(i) = nu_j i mod p,
+
+      chi = p chi(Y) + (1/2p^2) sum_i sum_{j,k} r_j(i) r_k(i) D_j.D_k
+                     + (p-1)/4 * sum_j K.D_j,
+
+    where K.D_j = 2 g_j - 2 - D_j^2 and the middle sum runs over ordered
+    pairs (the diagonal carries D_j^2).  The Dedekind part is recovered per
+    node from S(a,a;p), S(b,b;p), S(a,b;p) alone.  O(p) per divisor pair,
+    so gated by `max_p`.
+
+    Both values are returned as exact rationals: they equal chi(spec) and
+    the engine's scf whenever the multiplicities come from an actual
+    solution of the block system, and the rational equality holds for
+    arbitrary nu in (0, p) as well.
+    """
+    p = spec.p
+    if p > max_p:
+        raise BudgetError(f"floor-sum oracle at p={p} exceeds the budget {max_p}")
+    ra = spec.resolved
+    divisors = ra.divisors
+    nu = [spec.nu.nu[d.id] for d in divisors]
+    pairs = sorted(ra.nodes.items())
+
+    # chi from the quadratic floor-sum accumulation
+    acc = 0
+    rem = [0] * len(divisors)
+    diag = [(j, d.self_int) for j, d in enumerate(divisors)]
+    for _ in range(1, p):
+        for j, nj in enumerate(nu):
+            t = rem[j] + nj
+            if t >= p:
+                t -= p
+            rem[j] = t
+        row = 0
+        for j, self_int in diag:
+            row += rem[j] * rem[j] * self_int
+        for (j, k), count in pairs:
+            row += 2 * rem[j] * rem[k] * count
+        acc += row
+    k_sum = sum(2 * d.genus - 2 - d.self_int for d in divisors)
+    chi_val = (
+        p * ra.surface.chi
+        + Fraction(acc, 2 * p * p)
+        + Fraction((p - 1) * k_sum, 4)
+    )
+
+    # Dedekind part per node from the three bracket sums
+    s_cache: dict[tuple[int, int], int] = {}
+
+    def S(a: int, b: int) -> int:
+        key = (a, b) if a <= b else (b, a)
+        if key not in s_cache:
+            s_cache[key] = floor_sum_S(key[0], key[1], p)
+        return s_cache[key]
+
+    scf = Fraction(0)
+    for (j, k), count in pairs:
+        a, b = nu[j], nu[k]
+        comb_val = (
+            -Fraction(a, b) * S(b, b) - Fraction(b, a) * S(a, a) + 2 * S(a, b)
+        )
+        closed = Fraction(
+            (1 - p) * (a * a * (2 * p - 1) + b * b * (2 * p - 1) - 3 * a * b * p),
+            6 * a * b * p,
+        )
+        s_ab = (comb_val - closed) / 2  # = s(a' b, p)
+        scf += count * (-s_ab)  # s(p - a' b, p) = -s(a' b, p)
+    return chi_val, scf

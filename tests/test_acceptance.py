@@ -16,6 +16,8 @@ from rootcovers import numth as nt
 from rootcovers import partitions as pt
 from rootcovers import tables as tb
 
+from oracles import floor_sum_oracle
+
 
 def _verdict(n, label, failures, started=None):
     status = "PASS" if not failures else f"FAIL ({len(failures)} problems)"
@@ -147,7 +149,7 @@ def test_criterion_5_oracle_equivalence():
                 sol = pt._sample(sysd, rnd, pt.DEFAULT_CELL_BUDGET)
                 ma = pt.assign(ra, sol)
                 spec = cv.CoverSpec(p, ra, ma)
-                chi_o, _ = cv.floor_sum_oracle(spec)
+                chi_o, _ = floor_sum_oracle(spec)
                 if chi_o != cv.chi(spec):
                     failures.append(("oracle", p, tuple(sol.mu.values())))
     _verdict(5, "brute = fast = chain Dedekind (p<=500); bracket-sum chi oracle", failures, started)

@@ -5,14 +5,17 @@ import json
 import pytest
 
 from rootcovers import arrangements as ar
+from rootcovers import covers as cv
 from rootcovers.cli import (
     EXIT_BUDGET,
     EXIT_EXHAUSTED,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_TABLE_MISMATCH,
     EXIT_VALIDATION,
     main,
 )
+from rootcovers.errors import ConsistencyError, NonIntegral
 
 
 @pytest.fixture
@@ -233,6 +236,39 @@ def test_scan_prime_range_parsing(dual_hesse_file, tmp_path, capsys):
     assert code == EXIT_OK
     summary = capsys.readouterr().out
     assert "skipped" in summary  # the small primes exhaust their tries
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_scan_rejects_nonpositive_samples(dual_hesse_file, capsys, samples):
+    code = main([
+        "scan", "--arrangement", dual_hesse_file, "--primes", "61169",
+        "--samples", samples, "--seed", "1",
+    ])
+    assert code == EXIT_VALIDATION
+    assert "at least 1 sample" in capsys.readouterr().err
+
+
+def test_scan_prime_range_too_wide(dual_hesse_file, capsys):
+    code = main([
+        "scan", "--arrangement", dual_hesse_file, "--primes", "10000000000-10002000000",
+        "--samples", "1", "--seed", "1",
+    ])
+    assert code == EXIT_BUDGET
+    assert "prime range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ConsistencyError, NonIntegral])
+def test_internal_error_has_own_exit_code(dual_hesse_file, monkeypatch, capsys, error):
+    def broken(spec):
+        raise error("routes disagree")
+
+    monkeypatch.setattr(cv, "report", broken)
+    code = main([
+        "invariants", "--arrangement", dual_hesse_file, "--p", "61169", "--seed", "1",
+    ])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "internal error" in err and "routes disagree" in err
 
 
 def test_scan_nonprime_rejected(dual_hesse_file, capsys):

@@ -1,6 +1,7 @@
 """Exact kernels: continued fractions, Dedekind sums, Farey bad set."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,39 @@ import pytest
 from rootcovers import numth as nt
 from rootcovers.errors import BudgetError
 
+from oracles import ncf_convergents
+
 PRIMES_200 = nt.primes_between(3, 200)
+
+
+def test_primes_between_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert nt.primes_between(0, 2000) == [n for n in range(2001) if trial(n)]
+    assert nt.primes_between(-10, 1) == [] and nt.primes_between(20, 10) == []
+
+
+def test_primes_between_far_range_small_memory():
+    # memory and time follow the width of the range, not its upper end
+    tracemalloc.start()
+    try:
+        found = nt.primes_between(10**10, 10**10 + 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [10000000019, 10000000033, 10000000061, 10000000069, 10000000097]
+    assert peak < 100_000
+    for n in found:
+        assert all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_primes_between_too_wide():
+    # MAX_PRIME_RANGE + 1 integers: refused before any test is run
+    with pytest.raises(BudgetError):
+        nt.primes_between(10**10, 10**10 + nt.MAX_PRIME_RANGE)
+    with pytest.raises(BudgetError):
+        nt.primes_between(0, 10**30)
 
 
 def test_is_prime_basics():
@@ -99,7 +132,7 @@ def test_ncf_convergents_identities():
     for p in (7, 97, 139):
         for q in range(1, p):
             e = nt.ncf_expand(q, p).e
-            P, Q = nt.ncf_convergents(e)
+            P, Q = ncf_convergents(e)
             for i in range(1, len(e) + 1):
                 assert Fraction(P[i], Q[i]) == nt.ncf_eval(e[:i])
             assert (P[-1], Q[-1]) == (p, q)

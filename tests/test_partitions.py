@@ -200,6 +200,15 @@ def test_assign_exceptional_vanishes():
         pt.assign(ra, sol)
 
 
+def test_assign_missing_mu():
+    dh = ar.gen_ceva(3)
+    ra = ar.resolve(dh)
+    parts = {c.id: 1 for c in dh.curves if c.id != "B1"}
+    with pytest.raises(ValidationError, match="no mu for curve 'B1'") as info:
+        pt.assign(ra, pt.PartitionSolution(13, parts))
+    assert info.value.code == "mu-missing"
+
+
 def test_assign_triangle_identity():
     tri = ar.gen_general_lines(3)
     ra = ar.resolve(tri)
