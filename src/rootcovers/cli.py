@@ -404,6 +404,8 @@ def _cmd_numth(args) -> int:
 
 
 def _cmd_badset(args) -> int:
+    if not is_prime(args.p):
+        raise ValidationError("p-prime", f"--p {args.p} is not prime")
     config = FareyConfig(args.C)
     members = bad_set(args.p, config)
     out = _Output(args.out)

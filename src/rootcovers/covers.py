@@ -105,24 +105,16 @@ class ErrorTerms:
 
 
 def _error_terms(spec: CoverSpec) -> ErrorTerms:
-    """Evaluate s, c, l per distinct residue and fold over the nodes."""
+    """Evaluate s, c, l per node (O(log p) each) and fold over the nodes."""
     p = spec.p
-    cache: dict[int, tuple[Fraction, Fraction, int]] = {}
     scf = Fraction(0)
     ccf = Fraction(0)
     lcf = 0
     for node in node_residues(spec.resolved, spec.nu):
-        entry = cache.get(node.q)
-        if entry is None:
-            q = node.q
-            q2 = pow(q, -1, p)
-            length, e_sum = _ncf_stats(q, p)
-            c_val = Fraction(q + q2 + p * (e_sum - 2 * length), p)
-            s_val = dedekind_fast(q, p)
-            entry = (s_val, c_val, length)
-            cache[q] = entry
-        s_val, c_val, length = entry
-        scf += node.count * s_val
+        q = node.q
+        length, e_sum = _ncf_stats(q, p)
+        c_val = Fraction(q + pow(q, -1, p) + p * (e_sum - 2 * length), p)
+        scf += node.count * dedekind_fast(q, p)
         ccf += node.count * c_val
         lcf += node.count * length
     return ErrorTerms(scf, ccf, lcf)

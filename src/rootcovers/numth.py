@@ -2,10 +2,10 @@
 
 Negative-regular continued fractions, Dedekind sums (three independent
 algorithms), regular continued-fraction totals, and the Farey bad set.
-Everything runs on Python integers and `fractions.Fraction`; there is no
-floating point anywhere in this module.  Inequalities against sqrt(p) are
-decided by squaring both sides, and inequalities against log(p) go through
-a rational enclosure of the logarithm.
+NCF length and sum, regular totals and Farey membership all come from one
+O(log p) Euclid pass over p/q (`_quotients`).  Everything is exact: Python
+integers and `Fraction`, no floating point; sqrt(p) bounds are squared and
+log(p) bounds go through a rational enclosure of the logarithm.
 
 Conventions
 -----------
@@ -59,6 +59,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 # Widest [lo, hi] that primes_between will scan.
 MAX_PRIME_RANGE = 1_000_000
+# Longest negative-regular expansion that ncf_expand will store.
+MAX_NCF_LENGTH = 10_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -146,6 +148,8 @@ class NcfExpansion:
 def ncf_expand(q: int, p: int) -> NcfExpansion:
     """Expand p/q with all partial quotients >= 2 (iterative, O(s) memory)."""
     _check_residue(q, p)
+    if _ncf_stats(q, p)[0] > MAX_NCF_LENGTH:
+        raise BudgetError(f"ncf_expand({q}, {p}) has more than {MAX_NCF_LENGTH} terms")
     e: list[int] = []
     b = [p, q]
     prev, cur = p, q
@@ -177,15 +181,23 @@ def ncf_length(q: int, p: int) -> int:
     return _ncf_stats(q, p)[0]
 
 
+def _quotients(q: int, p: int) -> list[int]:
+    """Euclid quotients [a_0, a_1, ..., a_n] of p/q = a_0 + 1/(a_1 + ...)."""
+    out = []
+    while q:
+        out.append(p // q)
+        p, q = q, p % q
+    return out
+
+
 def _ncf_stats(q: int, p: int) -> tuple[int, int]:
-    """(length, sum of partial quotients) without storing the expansion."""
-    prev, cur, s, tot = p, q, 0, 0
-    while cur:
-        quot = -(-prev // cur)
-        prev, cur = cur, cur * quot - prev
-        s += 1
-        tot += quot
-    return s, tot
+    """(length, sum e_i): with n even (else a_n -> a_n - 1, 1), p/q = [a_0; ..., a_n]
+    is [a_0+1, 2^(a_1-1), a_2+2, ..., 2^(a_(n-1)-1), a_n+1] in negative-regular form."""
+    a = _quotients(q, p)
+    if len(a) % 2 == 0:
+        a[-1:] = [a[-1] - 1, 1]
+    n, twos = len(a) - 1, sum(a[1::2]) - len(a) // 2
+    return n // 2 + 1 + twos, sum(a[0::2]) + n + 2 * twos
 
 
 def canonical_part(q: int, p: int) -> Fraction:
@@ -257,11 +269,7 @@ def rcf_total(n: int, m: int) -> int:
         raise ValueError(f"need 0 < n < m, got n={n}, m={m}")
     if gcd(n, m) != 1:
         raise ValueError(f"{n}/{m} is not in lowest terms")
-    a, b, total = m, n, 0
-    while b:
-        total += a // b
-        a, b = b, a % b
-    return total
+    return sum(_quotients(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +294,26 @@ DEFAULT_FAREY = FareyConfig()
 def is_farey_neighbour(q: int, p: int, config: FareyConfig = DEFAULT_FAREY) -> bool:
     """True iff q lies within C*sqrt(p)/d^2 of some Farey point p*c/d.
 
-    d ranges over 1 <= d <= sqrt(p) (i.e. d^2 <= p), c over 0 <= c <= d
-    with gcd(c, d) = 1, endpoints included.  Only the two integers nearest
-    q*d/p can satisfy |q - p c/d| <= C sqrt(p)/d^2, so those are the only
-    candidates checked.  The comparison is exact:
-        |q d - p c| * d * denom(C) <= num(C) * sqrt(p)
-    is squared on both sides.
+    Of all c/d with 0 <= c <= d, gcd(c, d) = 1 and d^2 <= p, only the
+    convergents of q/p (0/1, 1/a_1, ...) need checking:
+    - p > 4C^2: the radius C/(sqrt(p) d^2) is below 1/(2d^2), so by
+      Legendre's theorem every hit c/d is a convergent of q/p;
+    - p <= 4C^2: every q is within C*sqrt(p) of 0 or p, and the first
+      convergent catches it: 0/1 if q <= p/2, 1/1 if q > p/2 (a_1 = 1).
+    |q d - p c| * d * denom(C) <= num(C) * sqrt(p) is decided exactly, squared.
     """
     if not 0 <= q < p:
         raise ValueError(f"need 0 <= q < p, got q={q}, p={p}")
     cn, cd = config.C.numerator, config.C.denominator
     rhs = cn * cn * p
-    for d in range(1, isqrt(p) + 1):
-        c0 = q * d // p
-        for c in (c0, c0 + 1):
-            if c > d or gcd(c, d) != 1:
-                continue
-            lhs = abs(q * d - p * c) * d * cd
-            if lhs * lhs <= rhs:
-                return True
+    c, d, c_prev, d_prev = 1, 0, 0, 1  # the walk opens with 0/1
+    for a in [0] + _quotients(q, p):
+        c, d, c_prev, d_prev = a * c + c_prev, a * d + d_prev, c, d
+        if d * d > p:
+            return False
+        lhs = abs(q * d - p * c) * d * cd
+        if lhs * lhs <= rhs:
+            return True
     return False
 
 

@@ -296,6 +296,20 @@ def test_badset_budget(capsys):
     assert main(["badset", "--p", "982451653"]) == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("p", ["4", "1", "0", "-5", "3027"])
+def test_badset_rejects_nonprime(p, capsys):
+    assert main(["badset", "--p", p]) == EXIT_VALIDATION
+    assert f"--p {p} is not prime" in capsys.readouterr().err
+
+
+def test_numth_ncf_budget(capsys):
+    # p/(p-1) = [2, 2, ..., 2] has p - 1 terms; only its O(log p) length is computed
+    assert main(["numth", "ncf", "999999999988", "999999999989"]) == EXIT_BUDGET
+    assert "more than" in capsys.readouterr().err
+    assert main(["numth", "length", "999999999988", "999999999989"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "999999999988"
+
+
 def test_badset_density_decreasing(capsys):
     densities = []
     for p in (101, 1009, 10103):

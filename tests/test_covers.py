@@ -1,6 +1,7 @@
 """Invariant engine: exact chi, c1^2, c2, error terms, oracle, scans."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,15 @@ def test_dual_hesse_flagship_row():
     assert cv.chi(spec) == 181282
     assert cv.c1_sq(spec) == 1441949
     assert cv.c2(spec) == 733435
+
+
+def test_dual_hesse_equal_parts_row_near_1e12_is_fast():
+    # meeting curves with equal mu give q = p - 1, whose expansion has p - 1 terms
+    p = 999_999_999_989
+    start = time.perf_counter()
+    rep = cv.report(_dual_hesse_cover(p, [1] * 8 + [p - 8]))
+    assert time.perf_counter() - start < 1.0
+    assert rep.error_terms.lcf >= p - 1
 
 
 def test_dual_hesse_good_looking_row():

@@ -5,6 +5,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootcovers import numth as nt
 from rootcovers.errors import BudgetError
@@ -118,12 +120,15 @@ def test_ncf_round_trip_and_reversal(p):
         q2 = nt.mod_inverse(q, p)
         assert nt.ncf_expand(q2, p).e == tuple(reversed(exp.e))
         assert nt.ncf_length(q2, p) == exp.length
+        assert nt._ncf_stats(q, p) == (exp.length, sum(exp.e))
 
 
 def test_ncf_round_trip_full_range():
     for p in nt.primes_between(211, 2000):
         for q in range(1, p):
-            assert nt.ncf_eval(nt.ncf_expand(q, p).e) == Fraction(p, q)
+            exp = nt.ncf_expand(q, p)
+            assert nt.ncf_eval(exp.e) == Fraction(p, q)
+            assert nt._ncf_stats(q, p) == (exp.length, sum(exp.e))
 
 
 def test_ncf_convergents_identities():
@@ -253,11 +258,22 @@ def test_farey_scale_dependence():
     assert nt.is_farey_neighbour(0, 101, tight)  # q = 0 is the point 0/1
 
 
-@pytest.mark.parametrize("p", nt.primes_between(3, 200))
-def test_bad_set_matches_membership_scan(p):
-    members = nt.bad_set(p)
-    scan = {q for q in range(p) if nt.is_farey_neighbour(q, p)}
+@pytest.mark.parametrize(
+    "p, C",
+    [
+        pytest.param(p, C, id=str(p) if C == 1 else f"{p}-C{C.numerator}_{C.denominator}")
+        for C in (Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(10))
+        for p in nt.primes_between(3, 200)
+    ],
+)
+def test_bad_set_matches_membership_scan(p, C):
+    # C = 10 puts every p < 400 in the regime p <= 4C^2, where all q are bad
+    config = nt.FareyConfig(C)
+    members = nt.bad_set(p, config)
+    scan = {q for q in range(p) if nt.is_farey_neighbour(q, p, config)}
     assert members == scan
+    if C == 10:
+        assert members == set(range(p))
 
 
 def test_bad_set_examples_and_bound():
@@ -302,3 +318,40 @@ def test_lt_sqrt_bound_exactness():
     assert nt.lt_sqrt_bound(Fraction(-5), 0, 0, 10)
     assert nt.lt_sqrt_bound(Fraction(5), 0, 6, 10)
     assert not nt.lt_sqrt_bound(Fraction(7), 0, 6, 10)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the O(log p) kernels at primes up to 1e18
+
+
+def _next_prime(n):
+    while not nt.is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def _prime_and_residue(draw):
+    p = _next_prime(draw(st.integers(3, 10**18)))
+    return p, draw(st.integers(1, p - 1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_prime_and_residue())
+def test_property_dedekind_routes_agree(pq):
+    p, q = pq
+    assert nt.dedekind_from_ncf(q, p) == nt.dedekind_fast(q, p)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_prime_and_residue())
+def test_property_ncf_stats_inverse_symmetric(pq):
+    p, q = pq
+    assert nt._ncf_stats(q, p) == nt._ncf_stats(nt.mod_inverse(q, p), p)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_prime_and_residue())
+def test_property_farey_reflection_symmetric(pq):
+    p, q = pq
+    assert nt.is_farey_neighbour(q, p) == nt.is_farey_neighbour(p - q, p)
