@@ -60,7 +60,7 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 # Widest [lo, hi] that primes_between will scan.
 MAX_PRIME_RANGE = 1_000_000
 # Longest negative-regular expansion that ncf_expand will store.
-MAX_NCF_LENGTH = 10_000_000
+MAX_NCF_LENGTH = 1_000_000
 
 
 def is_prime(n: int) -> bool:

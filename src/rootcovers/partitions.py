@@ -8,8 +8,10 @@ and a solution assigns multiplicities to every divisor of the log
 resolution: proper transforms inherit their mu, each blow-up divisor gets
 the sum of the mu over its point, reduced mod p into (0, p).  Sampling is
 exactly uniform over all positive solutions (sequential conditional
-sampling against suffix counts), and a solution is "good" when none of its
-node residues p - nu_i' nu_j falls in the Farey bad set.
+sampling: each part bisects the prefix-count identity of the suffix counts,
+O(k log p) per draw, and a table stores only the levels before a block's
+all-ones tail, whose counts are binomial), and a solution is "good" when
+none of its node residues p - nu_i' nu_j falls in the Farey bad set.
 """
 
 from __future__ import annotations
@@ -100,22 +102,33 @@ def system_for(a: Arrangement, p: int) -> DiophSystem:
 # Exact counting
 
 
+def _ones_tail(u: tuple[int, ...]) -> int:
+    """Index h where the all-ones tail u[h:] starts (h = len(u) if u[-1] > 1)."""
+    return max((i + 1 for i, w in enumerate(u) if w != 1), default=0)
+
+
 @lru_cache(maxsize=32)
 def _suffix_counts(u: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ...]:
-    """S[j][t] = number of positive solutions of u_j x_j + ... + u_k x_k = t.
+    """S[j][t] = number of positive solutions of u_j x_j + ... + u_k x_k = t,
+    for the levels j < h before the all-ones tail u[h:] (see _ones_tail).
 
     Built back to front with S[j][t] = S[j+1][t - u_j] + S[j][t - u_j]
-    (take x_j = 1, or reduce x_j by one).
+    (take x_j = 1, or reduce x_j by one).  The tail's own counts are the
+    closed form C(t-1, k-h-1), so it stores nothing.
     """
     k = len(u)
-    levels: list[tuple[int, ...]] = [()] * k
+    h = _ones_tail(u)
+    levels: list[tuple[int, ...]] = [()] * h
     nxt: list[int] = []
-    for j in range(k - 1, -1, -1):
+    for j in range(h - 1, -1, -1):
         w = u[j]
         cur = [0] * (target + 1)
         if j == k - 1:
             for t in range(w, target + 1, w):
                 cur[t] = 1
+        elif j == h - 1:
+            for t in range(w + 1, target + 1):
+                cur[t] = cur[t - w] + comb(t - w - 1, k - h - 1)
         else:
             for t in range(w, target + 1):
                 cur[t] = cur[t - w] + nxt[t - w]
@@ -125,30 +138,27 @@ def _suffix_counts(u: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ..
 
 
 def _suffix_table(u: tuple[int, ...], target: int, cell_budget: int):
-    """_suffix_counts(u, target), refused when its table exceeds cell_budget."""
-    k = len(u)
-    if k * (target + 1) > cell_budget:
+    """_suffix_counts(u, target), refused when its stored cells exceed cell_budget."""
+    h = _ones_tail(u)
+    if h * (target + 1) > cell_budget:
         raise BudgetError(
-            f"suffix table of {k}x{target + 1} cells exceeds the budget {cell_budget}"
+            f"suffix table of {h}x{target + 1} cells exceeds the budget {cell_budget}"
         )
-    return _suffix_counts(u, target)
+    return _suffix_counts(u, target) if h else ()
 
 
 def _block_count(block: DiophBlock, p: int, cell_budget: int) -> int:
-    k = len(block.u)
     if p < sum(block.u):
         return 0
-    if all(w == 1 for w in block.u):
-        return comb(p - 1, k - 1)
-    return _suffix_table(block.u, p, cell_budget)[0][p]
+    S = _suffix_table(block.u, p, cell_budget)
+    return S[0][p] if S else comb(p - 1, len(block.u) - 1)
 
 
 def count_solutions(sys: DiophSystem, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
     """Exact number of positive solutions (product over blocks).
 
-    All-ones blocks use the closed form C(p-1, k-1); general weights go
-    through the suffix-count dynamic program, whose table size is checked
-    against `cell_budget`.
+    All-ones blocks use the closed form C(p-1, k-1); other blocks read the
+    suffix-count table, whose stored cells are checked against `cell_budget`.
     """
     total = 1
     for block in sys.blocks:
@@ -160,20 +170,41 @@ def count_solutions(sys: DiophSystem, cell_budget: int = DEFAULT_CELL_BUDGET) ->
 # Exact-uniform sampling
 
 
-def _sample_ones_block(k: int, target: int, rng: random.Random) -> list[int]:
-    """Uniform positive composition of `target` into k parts.
+def _sample_block(
+    u: tuple[int, ...], target: int, rng: random.Random, cell_budget: int
+) -> list[int]:
+    """Uniform positive solution of u . mu = target, one part at a time.
 
-    Sequential sampling: mu_1 is drawn from its exact marginal
-    P(mu_1 = M) = C(target - M - 1, k - 2)/C(target - 1, k - 1) by
-    bisecting the closed-form prefix sums, then recurse on the remainder.
+    Part j is drawn from its exact marginal with one randrange: by the
+    recurrence S[j][t] = sum_{m >= 1} S[j+1][t - u_j m], the solutions with
+    mu_j <= M number prefix(M) = S[j][rem] - S[j][rem - u_j M], so the part
+    is the smallest M with prefix(M) > r, found by bisection over
+    [1, rem // u_j].  Levels before the all-ones tail read the suffix
+    table; the tail bisects the closed form C(rem-1, left-1) instead.
     """
+    k = len(u)
+    S = _suffix_table(u, target, cell_budget)
+    h = len(S)
+    if h and S[0][target] == 0:
+        raise EmptySolutionSetError(f"no positive solution of {u} . mu = {target}")
     parts = []
     rem = target
-    for left in range(k, 1, -1):
+    for j in range(min(h, k - 1)):
+        Sj, w = S[j], u[j]
+        total = Sj[rem]
+        r = rng.randrange(total)
+        lo, hi = 1, rem // w
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if total - Sj[rem - w * mid] > r:
+                hi = mid
+            else:
+                lo = mid + 1
+        parts.append(lo)
+        rem -= w * lo
+    for left in range(k - h, 1, -1):
         total = comb(rem - 1, left - 1)
         r = rng.randrange(total)
-        # prefix(M) = number of solutions with mu <= M
-        #           = C(rem-1, left-1) - C(rem-M-1, left-1)
         lo, hi = 1, rem - (left - 1)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -183,34 +214,6 @@ def _sample_ones_block(k: int, target: int, rng: random.Random) -> list[int]:
                 lo = mid + 1
         parts.append(lo)
         rem -= lo
-    parts.append(rem)
-    return parts
-
-
-def _sample_dp_block(
-    u: tuple[int, ...], target: int, rng: random.Random, cell_budget: int
-) -> list[int]:
-    """Uniform solution of a general weighted block via suffix counts."""
-    k = len(u)
-    S = _suffix_table(u, target, cell_budget)
-    if S[0][target] == 0:
-        raise EmptySolutionSetError(f"no positive solution of {u} . mu = {target}")
-    parts = []
-    rem = target
-    for j in range(k - 1):
-        r = rng.randrange(S[j][rem])
-        acc = 0
-        mu = 0
-        while True:
-            mu += 1
-            t = rem - u[j] * mu
-            if t < 0:
-                raise AssertionError("ran past the support; counts inconsistent")
-            acc += S[j + 1][t]
-            if acc > r:
-                break
-        parts.append(mu)
-        rem -= u[j] * mu
     if rem % u[-1] or rem < u[-1]:
         raise AssertionError("remainder not attainable; counts inconsistent")
     parts.append(rem // u[-1])
@@ -281,10 +284,7 @@ def _sample(sys: DiophSystem, rng: random.Random, cell_budget: int) -> Partition
             raise EmptySolutionSetError(
                 f"p={sys.p} is below the minimal block sum {sum(block.u)}"
             )
-        if all(w == 1 for w in block.u):
-            parts = _sample_ones_block(len(block.u), sys.p, rng)
-        else:
-            parts = _sample_dp_block(block.u, sys.p, rng, cell_budget)
+        parts = _sample_block(block.u, sys.p, rng, cell_budget)
         for cid, value in zip(block.curve_ids, parts):
             mu[cid] = value
     return PartitionSolution(sys.p, mu)

@@ -5,10 +5,11 @@ arithmetic; they live beside the tests because nothing in the package
 needs them.
 """
 
+import random
 from fractions import Fraction
 
 from rootcovers.covers import CoverSpec
-from rootcovers.errors import BudgetError
+from rootcovers.errors import BudgetError, EmptySolutionSetError
 
 
 def ncf_convergents(e) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -134,3 +135,64 @@ def floor_sum_oracle(
         s_ab = (comb_val - closed) / 2  # = s(a' b, p)
         scf += count * (-s_ab)  # s(p - a' b, p) = -s(a' b, p)
     return chi_val, scf
+
+
+def suffix_counts_full(u, target) -> list[list[int]]:
+    """S[j][t] = number of positive solutions of u_j x_j + ... + u_k x_k = t,
+    every level j tabulated by S[j][t] = S[j+1][t - u_j] + S[j][t - u_j]."""
+    k = len(u)
+    levels = [[]] * k
+    nxt: list[int] = []
+    for j in range(k - 1, -1, -1):
+        w = u[j]
+        cur = [0] * (target + 1)
+        if j == k - 1:
+            for t in range(w, target + 1, w):
+                cur[t] = 1
+        else:
+            for t in range(w, target + 1):
+                cur[t] = cur[t - w] + nxt[t - w]
+        levels[j] = cur
+        nxt = cur
+    return levels
+
+
+def dp_sample_block(u, target, rng) -> list[int]:
+    """Uniform positive solution of u . mu = target by the linear marginal
+    scan: part j is the smallest mu whose running sum of S[j+1][rem - u_j m],
+    m = 1..mu, exceeds one randrange(S[j][rem]) draw."""
+    k = len(u)
+    S = suffix_counts_full(u, target)
+    if S[0][target] == 0:
+        raise EmptySolutionSetError(f"no positive solution of {u} . mu = {target}")
+    parts = []
+    rem = target
+    for j in range(k - 1):
+        r = rng.randrange(S[j][rem])
+        acc = 0
+        mu = 0
+        while True:
+            mu += 1
+            t = rem - u[j] * mu
+            if t < 0:
+                raise AssertionError("ran past the support; counts inconsistent")
+            acc += S[j + 1][t]
+            if acc > r:
+                break
+        parts.append(mu)
+        rem -= u[j] * mu
+    if rem % u[-1] or rem < u[-1]:
+        raise AssertionError("remainder not attainable; counts inconsistent")
+    parts.append(rem // u[-1])
+    return parts
+
+
+def dp_sample(sys, seed) -> list[list[int]]:
+    """Per-block parts of one draw from random.Random(seed), block by block."""
+    rng = random.Random(seed)
+    out = []
+    for block in sys.blocks:
+        if sys.p < sum(block.u):
+            raise EmptySolutionSetError(f"p={sys.p} is below the minimal block sum")
+        out.append(dp_sample_block(block.u, sys.p, rng))
+    return out

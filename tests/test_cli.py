@@ -1,11 +1,13 @@
 """Command-line front end: flows, determinism, exit codes."""
 
 import json
+from time import perf_counter
 
 import pytest
 
 from rootcovers import arrangements as ar
 from rootcovers import covers as cv
+from rootcovers import numth
 from rootcovers.cli import (
     EXIT_BUDGET,
     EXIT_EXHAUSTED,
@@ -308,6 +310,22 @@ def test_numth_ncf_budget(capsys):
     assert "more than" in capsys.readouterr().err
     assert main(["numth", "length", "999999999988", "999999999989"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "999999999988"
+
+
+def test_numth_ncf_budget_million_terms(capsys, monkeypatch):
+    # 1000003/1000002 = [2, 2, ..., 2] has 1,000,002 terms: refused before any is built
+    start = perf_counter()
+    assert main(["numth", "ncf", "1000002", "1000003"]) == EXIT_BUDGET
+    assert perf_counter() - start < 1.0
+    assert "more than 1000000 terms" in capsys.readouterr().err
+    assert main(["numth", "ncf", "3", "5"]) == EXIT_OK
+    assert "length = 2" in capsys.readouterr().out
+    # the bound itself still prints: 5/4 = [2, 2, 2, 2] has 4 terms
+    monkeypatch.setattr(numth, "MAX_NCF_LENGTH", 4)
+    assert main(["numth", "ncf", "4", "5"]) == EXIT_OK
+    assert "length = 4" in capsys.readouterr().out
+    assert main(["numth", "ncf", "5", "6"]) == EXIT_BUDGET
+    capsys.readouterr()
 
 
 def test_badset_density_decreasing(capsys):

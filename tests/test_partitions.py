@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
+from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rootcovers import arrangements as ar
 from rootcovers import partitions as pt
@@ -18,6 +21,8 @@ from rootcovers.errors import (
     ValidationError,
 )
 from rootcovers.numth import primes_between
+
+from oracles import dp_sample, dp_sample_block, suffix_counts_full
 
 
 def _ones_system(p, k):
@@ -88,6 +93,106 @@ def test_count_budget_error():
     sysd = pt.DiophSystem(10007, (pt.DiophBlock(("a", "b", "c"), (1, 2, 3)),))
     with pytest.raises(BudgetError):
         pt.count_solutions(sysd, cell_budget=1000)
+
+
+def test_count_budget_counts_stored_levels():
+    # (2,1,1,1,1) stores only the level before its all-ones tail: 1 x 1010 cells
+    u = (2, 1, 1, 1, 1)
+    sysd = pt.DiophSystem(1009, (pt.DiophBlock(tuple("abcde"), u),))
+    expected = suffix_counts_full(u, 1009)[0][1009]
+    assert pt.count_solutions(sysd, cell_budget=1010) == expected
+    pt.validate_solution(sysd, pt.sample_uniform(sysd, 3, cell_budget=1010))
+    with pytest.raises(BudgetError, match="1x1010 cells"):
+        pt.count_solutions(sysd, cell_budget=1009)
+    assert pt.count_solutions(_ones_system(1009, 4), cell_budget=0) == comb(1008, 3)
+
+
+PRIMES_2000 = primes_between(2, 2000)
+
+
+def _weights(max_head, max_tail):
+    """Weight vectors: a head of weights in 1..6, then 0..max_tail unit weights."""
+    head = st.lists(st.integers(1, 6), min_size=1, max_size=max_head)
+    tail = st.integers(0, max_tail)
+    return st.builds(lambda h, t: tuple(h) + (1,) * t, head, tail)
+
+
+def _block_weights(max_head, max_tail):
+    # a block has u-gcd 1, and at least two curves (a lone curve would get mu = p)
+    return _weights(max_head, max_tail).filter(lambda u: len(u) > 1 and gcd(*u) == 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_weights(4, 3), st.sampled_from(PRIMES_2000), st.integers(0, 2**32))
+@example((1, 2, 1), 13, 0)
+@example((2, 3, 1, 1), 1999, 1)
+@example((3,), 1999, 2)
+@example((1, 5), 1997, 3)
+@example((4, 7), 13, 4)  # no positive solution
+def test_sample_block_matches_linear_scan_oracle(u, p, seed):
+    if p < sum(u):
+        return
+    got, want = random.Random(seed), random.Random(seed)
+    try:
+        parts = pt._sample_block(u, p, got, pt.DEFAULT_CELL_BUDGET)
+    except EmptySolutionSetError:
+        with pytest.raises(EmptySolutionSetError):
+            dp_sample_block(u, p, want)
+        return
+    assert parts == dp_sample_block(u, p, want)
+    assert got.random() == want.random()  # same randrange calls, draw for draw
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.lists(_block_weights(3, 2), min_size=1, max_size=3),
+    st.sampled_from(PRIMES_2000),
+    st.integers(0, 2**32),
+)
+@example([(1, 2, 1), (2, 3, 1, 1)], 1999, 5)
+@example([(1, 5), (1, 1, 1)], 7, 6)
+def test_sample_uniform_and_count_match_oracles(us, p, seed):
+    blocks = tuple(
+        pt.DiophBlock(tuple(f"b{b}c{i}" for i in range(len(u))), u)
+        for b, u in enumerate(us)
+    )
+    sysd = pt.DiophSystem(p, blocks)
+    expected = 1
+    for u in us:
+        expected *= suffix_counts_full(u, p)[0][p] if p >= sum(u) else 0
+    assert pt.count_solutions(sysd) == expected
+    try:
+        want = dp_sample(sysd, seed)
+    except EmptySolutionSetError:
+        with pytest.raises(EmptySolutionSetError):
+            pt.sample_uniform(sysd, seed)
+        return
+    sol = pt.sample_uniform(sysd, seed)
+    assert [[sol.mu[c] for c in block.curve_ids] for block in sysd.blocks] == want
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    _block_weights(3, 3).filter(lambda u: len(u) <= 4),
+    st.sampled_from(primes_between(2, 100)),
+)
+@example((1, 2, 1), 13)
+@example((2, 3, 1, 1), 97)
+@example((1, 5), 97)
+def test_count_matches_brute_enumeration(u, p):
+    block = pt.DiophBlock(tuple(f"x{i}" for i in range(len(u))), u)
+    assert pt.count_solutions(pt.DiophSystem(p, (block,))) == _brute_count(u, p)
+
+
+def test_weighted_sampler_scales_with_log_p():
+    u = (2, 1, 1, 1, 1)
+    p = 300007
+    assert len(pt._suffix_counts(u, p)) == 1
+    sysd = pt.DiophSystem(p, (pt.DiophBlock(tuple("abcde"), u),))
+    start = perf_counter()
+    for seed in range(100):
+        pt.validate_solution(sysd, pt.sample_uniform(sysd, seed))
+    assert perf_counter() - start < 1.0
 
 
 def test_sampling_membership_and_determinism():
