@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from .errors import FileFormatError, ValidationError
+from .errors import BudgetError, FileFormatError, ValidationError
 from .numth import is_prime
 
 __all__ = [
@@ -349,11 +349,23 @@ def log_chern_resolved(ra: ResolvedArrangement) -> LogChernNumbers:
 # ---------------------------------------------------------------------------
 # Built-in generators
 
+# Most points a generator emits (point-line incidence tests for gen_pg2).
+MAX_GENERATOR_WORK = 100_000
+
+
+def _check_generator_work(name: str, work: int) -> None:
+    if work > MAX_GENERATOR_WORK:
+        raise BudgetError(
+            f"{name} needs {work} points (point-line tests for pg2); "
+            f"the budget is {MAX_GENERATOR_WORK}"
+        )
+
 
 def gen_general_lines(d: int) -> Arrangement:
     """d lines in general position: every pair meets in its own 2-point."""
     if d < 3:
         raise ValueError(f"need d >= 3 lines, got {d}")
+    _check_generator_work(f"gen_general_lines({d})", d * (d - 1) // 2)
     curves = tuple(
         CurveDecl(id=f"L{i + 1}", genus=0, self_int=1, block=1, u=1) for i in range(d)
     )
@@ -376,6 +388,7 @@ def gen_ceva(m: int) -> Arrangement:
         raise ValueError(f"need m >= 1, got {m}")
     if m == 1:
         return gen_general_lines(3)
+    _check_generator_work(f"gen_ceva({m})", m * m + 3)
     names = ("A", "B", "C")
     curves = tuple(
         CurveDecl(id=f"{t}{a}", genus=0, self_int=1, block=1, u=1)
@@ -400,6 +413,7 @@ def gen_pg2(m: int) -> Arrangement:
     """
     if not is_prime(m):
         raise ValidationError("pg2-prime", f"gen_pg2 needs a prime m, got {m}")
+    _check_generator_work(f"gen_pg2({m})", (m * m + m + 1) ** 2)
 
     def normalized() -> list[tuple[int, int, int]]:
         reps = [(1, y, z) for y in range(m) for z in range(m)]
@@ -433,6 +447,7 @@ def gen_underline_ceva(m: int) -> Arrangement:
     """
     if m < 3:
         raise ValueError(f"need m >= 3 for blocks of size >= 3, got {m}")
+    _check_generator_work(f"gen_underline_ceva({m})", m * m)
     surface = SurfaceClass("P2 blown up 3x", 6, 6)
     names = ("A", "B", "C")
     curves = tuple(
@@ -458,6 +473,9 @@ def gen_p1xp1(d1: int, d2: int, d3: int) -> Arrangement:
     """
     if min(d1, d2, d3) < 3:
         raise ValueError("each block needs at least 3 curves")
+    _check_generator_work(
+        f"gen_p1xp1({d1}, {d2}, {d3})", d1 * d2 + d3 * (d1 + d2) + d3 * (d3 - 1)
+    )
     curves = []
     for b, (t, n, self_int) in enumerate(
         (("A", d1, 0), ("B", d2, 0), ("C", d3, 2))
@@ -567,6 +585,8 @@ def from_text(text: str) -> Arrangement:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # deep nesting, a 4,300+ digit integer
+        raise FileFormatError(f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be an object")
     marker = _require(doc, "format", str)

@@ -51,10 +51,11 @@ _GENERATORS = {
 
 
 def _parse_rational(text: str) -> Fraction:
+    # argparse turns only ArgumentTypeError/ValueError into a usage error (exit 2)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError("bad-rational", f"cannot parse rational {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}") from exc
 
 
 def _fr(x: Fraction) -> str:

@@ -3,9 +3,10 @@
 Negative-regular continued fractions, Dedekind sums (three independent
 algorithms), regular continued-fraction totals, and the Farey bad set.
 NCF length and sum, regular totals and Farey membership all come from one
-O(log p) Euclid pass over p/q (`_quotients`).  Everything is exact: Python
-integers and `Fraction`, no floating point; sqrt(p) bounds are squared and
-log(p) bounds go through a rational enclosure of the logarithm.
+O(log p) Euclid pass over p/q (`_quotients`); the whole bad set is the
+images r * d^-1 mod p, O(C sqrt(p) log p + sqrt(p)).  Everything is exact:
+Python integers and `Fraction`, no floating point; sqrt(p) bounds are
+squared and log(p) bounds go through a rational enclosure of the logarithm.
 
 Conventions
 -----------
@@ -61,6 +62,8 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 MAX_PRIME_RANGE = 1_000_000
 # Longest negative-regular expansion that ncf_expand will store.
 MAX_NCF_LENGTH = 1_000_000
+# Largest prime whose Farey bad set bad_set will enumerate.
+MAX_BADSET_P = 10_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -317,34 +320,27 @@ def is_farey_neighbour(q: int, p: int, config: FareyConfig = DEFAULT_FAREY) -> b
     return False
 
 
-def bad_set(
-    p: int, config: FareyConfig = DEFAULT_FAREY, max_p: int = 10_000_000
-) -> set[int]:
-    """All Farey neighbours q in [0, p).
+def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:
+    """All Farey neighbours q in [0, p), as the images r * d^-1 mod p.
 
-    Enumerates the integer points of every F-neighbourhood directly, which
-    is O(p) work overall; `max_p` caps the enumeration (membership via
-    is_farey_neighbour stays available at any p).
+    |q d - p c| <= a(d) = floor(C*sqrt(p)/d) for some c exactly when
+    q d = r (mod p) for some |r| <= a(d), 1 <= d <= sqrt(p); for q in [0, p)
+    that c lies in [0, d], and a non-reduced c/d = g c'/g d' is covered by
+    c'/d' since g a(g d') <= a(d').  O(C sqrt(p) log p + sqrt(p)) work; p
+    above MAX_BADSET_P raises BudgetError (is_farey_neighbour has no bound).
     """
-    if p > max_p:
+    if p > MAX_BADSET_P:
         raise BudgetError(
-            f"bad_set enumeration at p={p} exceeds the budget max_p={max_p}"
+            f"bad_set enumeration at p={p} exceeds the budget max_p={MAX_BADSET_P}"
         )
     cn, cd = config.C.numerator, config.C.denominator
     root = isqrt(cn * cn * p)  # floor(C_num * sqrt(p))
+    if 2 * (root // cd) + 1 >= p:  # the d = 1 residues alone cover Z/p
+        return set(range(p))
     out: set[int] = set()
     for d in range(1, isqrt(p) + 1):
-        a_max = root // (d * cd)  # floor of C*sqrt(p)/d in units of 1/d
-        for c in range(0, d + 1):
-            if gcd(c, d) != 1:
-                continue
-            pc = p * c
-            lo = -(-(pc - a_max) // d)
-            hi = (pc + a_max) // d
-            lo = max(lo, 0)
-            hi = min(hi, p - 1)
-            if lo <= hi:
-                out.update(range(lo, hi + 1))
+        a, inv = root // (d * cd), pow(d, -1, p)
+        out.update(r * inv % p for r in range(-a, a + 1))
     return out
 
 

@@ -446,9 +446,10 @@ def solution_from_text(sys: DiophSystem, text: str) -> PartitionSolution:
         if fields[0] == "p":
             if p is not None:
                 raise FileFormatError(f"line {lineno}: duplicate p line")
-            if len(fields) != 2 or not fields[1].isdigit():
+            try:
+                (p,) = [int(x) for x in fields[1:]]
+            except ValueError:
                 raise FileFormatError(f"line {lineno}: expected `p <integer>`")
-            p = int(fields[1])
         elif fields[0] == "block":
             try:
                 rows.append([int(x) for x in fields[1:]])

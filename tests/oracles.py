@@ -7,9 +7,11 @@ needs them.
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 from rootcovers.covers import CoverSpec
 from rootcovers.errors import BudgetError, EmptySolutionSetError
+from rootcovers.numth import DEFAULT_FAREY, FareyConfig
 
 
 def ncf_convergents(e) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -135,6 +137,28 @@ def floor_sum_oracle(
         s_ab = (comb_val - closed) / 2  # = s(a' b, p)
         scf += count * (-s_ab)  # s(p - a' b, p) = -s(a' b, p)
     return chi_val, scf
+
+
+def bad_set_enumeration(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:
+    """The Farey bad set by its definition: for every reduced c/d with
+    0 <= c <= d <= sqrt(p), the integers q in [0, p) with
+    |q d - p c| <= floor(C sqrt(p)/d).  O(p) work overall."""
+    cn, cd = config.C.numerator, config.C.denominator
+    root = isqrt(cn * cn * p)  # floor(C_num * sqrt(p))
+    out: set[int] = set()
+    for d in range(1, isqrt(p) + 1):
+        a_max = root // (d * cd)  # floor of C*sqrt(p)/d in units of 1/d
+        for c in range(0, d + 1):
+            if gcd(c, d) != 1:
+                continue
+            pc = p * c
+            lo = -(-(pc - a_max) // d)
+            hi = (pc + a_max) // d
+            lo = max(lo, 0)
+            hi = min(hi, p - 1)
+            if lo <= hi:
+                out.update(range(lo, hi + 1))
+    return out
 
 
 def suffix_counts_full(u, target) -> list[list[int]]:

@@ -1,11 +1,14 @@
 """Arrangement model, generators, log resolution, file format."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootcovers import arrangements as ar
-from rootcovers.errors import FileFormatError, ValidationError
+from rootcovers.errors import BudgetError, FileFormatError, ValidationError
 
 
 def test_surface_class_noether():
@@ -252,6 +255,85 @@ def test_file_parse_errors_carry_line_numbers():
         ar.from_text('{"format": "arrangement/999"}')
     with pytest.raises(FileFormatError):
         ar.from_text('{"format": "arrangement/1", "surface": {"name": "P2"}}')
+
+
+def test_file_deep_nesting_is_a_format_error():
+    with pytest.raises(FileFormatError, match="recursion"):
+        ar.from_text("[" * 100_000)
+
+
+def test_file_huge_integer_is_a_format_error():
+    text = ar.to_text(ar.gen_ceva(3)).replace('"c1_sq": 9', '"c1_sq": ' + "9" * 5000, 1)
+    with pytest.raises(FileFormatError):
+        ar.from_text(text)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_FIELDS = ("format", "surface", "blocks", "flags", "curves", "points")
+
+
+def _mutated_document(field, index, value):
+    doc = json.loads(ar.to_text(ar.gen_ceva(3)))
+    if field in ("curves", "points") and index >= 0:
+        doc[field][index % len(doc[field])] = value
+    elif field == "surface" and index >= 0:
+        doc[field][("name", "c1_sq", "c2")[index % 3]] = value
+    else:
+        doc[field] = value
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    data=st.one_of(
+        st.text(max_size=200),
+        # a valid document with one field, curve or point replaced by arbitrary JSON
+        st.tuples(st.sampled_from(_FIELDS), st.integers(-1, 12), _JSON).map(
+            lambda t: _mutated_document(*t)
+        ),
+    )
+)
+def test_from_text_fuzz_raises_only_format_or_validation_errors(data):
+    try:
+        ar.from_text(data)
+    except (FileFormatError, ValidationError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "gen, args",
+    [
+        (ar.gen_general_lines, (9,)),
+        (ar.gen_ceva, (5,)),
+        (ar.gen_pg2, (5,)),
+        (ar.gen_underline_ceva, (5,)),
+        (ar.gen_p1xp1, (3, 4, 5)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_generator_budget_counts_points(gen, args, monkeypatch):
+    # the budget counts the points emitted (point-line pairs tested for pg2)
+    a = gen(*args)
+    work = a.d**2 if gen is ar.gen_pg2 else len(a.points)
+    monkeypatch.setattr(ar, "MAX_GENERATOR_WORK", work)
+    assert gen(*args) == a
+    monkeypatch.setattr(ar, "MAX_GENERATOR_WORK", work - 1)
+    with pytest.raises(BudgetError):
+        gen(*args)
+
+
+def test_generator_budget_refuses_before_building():
+    for gen, arg in ((ar.gen_ceva, 10**5), (ar.gen_pg2, 1009),
+                     (ar.gen_general_lines, 10**6), (ar.gen_underline_ceva, 10**5)):
+        with pytest.raises(BudgetError):
+            gen(arg)
+    with pytest.raises(BudgetError):
+        ar.gen_p1xp1(10**4, 10**4, 3)
 
 
 def test_file_save_load(tmp_path):

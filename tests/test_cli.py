@@ -328,6 +328,87 @@ def test_numth_ncf_budget_million_terms(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", ["[" * 100_000, '{"blocks": ' + "9" * 5000 + "}"],
+                         ids=["deep", "huge-int"])
+def test_unreadable_arrangement_json_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    for argv in (
+        ["arrangement", "info"],
+        ["invariants", "--p", "101", "--seed", "1"],
+        ["scan", "--primes", "101", "--seed", "1"],
+    ):
+        assert main([*argv, "--arrangement", str(path)]) == EXIT_VALIDATION
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_generate_over_budget(capsys):
+    # 10^10 points: refused before any is built
+    assert main(["arrangement", "generate", "ceva", "100000"]) == EXIT_BUDGET
+    assert main(["arrangement", "generate", "pg2", "1009"]) == EXIT_BUDGET
+    assert "budget" in capsys.readouterr().err
+
+
+_EDGE_CASES = [
+    # --C: unparsable values are argparse usage errors, C <= 0 a validation error,
+    # and a huge C makes every node bad (invariants exhausts its tries, scan skips p)
+    *[
+        (cmd, ["--C", C], code)
+        for C, codes in (
+            ("0", (EXIT_VALIDATION,) * 4),
+            ("-1", (EXIT_VALIDATION,) * 4),
+            ("abc", (EXIT_VALIDATION,) * 4),
+            ("1/0", (EXIT_VALIDATION,) * 4),
+            (str(10**12), (EXIT_EXHAUSTED, EXIT_OK, EXIT_OK, EXIT_OK)),
+        )
+        for cmd, code in zip(("invariants", "scan", "badset", "numth"), codes)
+    ],
+    *[
+        (cmd, ["--p", p], code)
+        for p, codes in (
+            ("0", (EXIT_VALIDATION,) * 3),
+            ("4", (EXIT_VALIDATION,) * 3),
+            ("10000019", (EXIT_OK, EXIT_OK, EXIT_BUDGET)),
+        )
+        for cmd, code in zip(("invariants", "scan", "badset"), codes)
+    ],
+    ("invariants", ["--max-tries", "0"], EXIT_VALIDATION),
+    ("scan", ["--max-tries", "0"], EXIT_VALIDATION),
+    ("scan", ["--samples", "0"], EXIT_VALIDATION),
+]
+
+
+def _edge_argv(cmd, edge, arrangement):
+    """A valid command line for cmd with the edge value swapped in."""
+    args = {
+        "invariants": ["--arrangement", arrangement, "--p", "10103", "--seed", "1"],
+        "scan": ["--arrangement", arrangement, "--primes", "10103", "--seed", "1",
+                 "--samples", "1"],
+        "badset": ["--p", "101"],
+        "numth": ["farey", "1", "101"],
+    }[cmd]
+    flag, value = edge
+    if flag == "--p" and cmd == "scan":
+        flag = "--primes"
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    return [cmd, *args]
+
+
+@pytest.mark.parametrize(
+    "cmd, edge, code", _EDGE_CASES, ids=[f"{c}{e[0]}={e[1]}" for c, e, _ in _EDGE_CASES]
+)
+def test_edge_values_exit_cleanly(cmd, edge, code, dual_hesse_file, capsys):
+    try:
+        got = main(_edge_argv(cmd, edge, dual_hesse_file))
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    assert got == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_badset_density_decreasing(capsys):
     densities = []
     for p in (101, 1009, 10103):

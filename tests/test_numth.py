@@ -3,15 +3,16 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootcovers import numth as nt
 from rootcovers.errors import BudgetError
 
-from oracles import ncf_convergents
+from oracles import bad_set_enumeration, ncf_convergents
 
 PRIMES_200 = nt.primes_between(3, 200)
 
@@ -284,11 +285,45 @@ def test_bad_set_examples_and_bound():
     assert len(nt.bad_set(17)) <= 17
 
 
-def test_bad_set_budget():
+def test_bad_set_budget(monkeypatch):
+    monkeypatch.setattr(nt, "MAX_BADSET_P", 100)
     with pytest.raises(BudgetError):
-        nt.bad_set(1009, max_p=100)
+        nt.bad_set(1009)
     # membership has no budget
     assert nt.is_farey_neighbour(0, 10**9 + 7) is True
+
+
+ORACLE_C = (
+    Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(10), Fraction(7, 5),
+    Fraction(40), Fraction(1, 100), Fraction(1000), Fraction(99, 7),
+)
+
+
+@pytest.mark.parametrize("C", ORACLE_C, ids=lambda C: f"C{C.numerator}_{C.denominator}")
+def test_bad_set_matches_enumeration_oracle(C):
+    # every prime p < 3000: the images r * d^-1 against the c/d interval enumeration
+    config = nt.FareyConfig(C)
+    for p in nt.primes_between(3, 2999):
+        assert nt.bad_set(p, config) == bad_set_enumeration(p, config), p
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n=st.integers(3_000, 200_000),
+    C=st.fractions(min_value=Fraction(1, 100), max_value=20, max_denominator=100),
+)
+@example(n=199_999, C=Fraction(1))
+def test_bad_set_matches_enumeration_oracle_large_p(n, C):
+    p = next(m for m in range(n, 2 * n) if nt.is_prime(m))
+    config = nt.FareyConfig(C)
+    assert nt.bad_set(p, config) == bad_set_enumeration(p, config)
+
+
+def test_bad_set_huge_C_is_everything_at_once():
+    # the d = 1 images alone would be about 2 * 10^13 residues
+    start = perf_counter()
+    assert nt.bad_set(101, nt.FareyConfig(10**12)) == set(range(101))
+    assert perf_counter() - start < 0.1
 
 
 def test_bad_set_c2_wider_than_c1():

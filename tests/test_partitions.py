@@ -443,6 +443,41 @@ def test_partition_file_errors():
         pt.solution_from_text(sysd, "p 61169\nblock 1 2 3 4 5 6 7 8 9\n")
 
 
+@pytest.mark.parametrize(
+    "p_line", ["p \u00b2", "p " + "9" * 5000, "p", "p 61169 7", "p x"],
+    ids=["superscript", "5000-digits", "no-value", "two-values", "letter"],
+)
+def test_partition_file_bad_p_line(p_line):
+    sysd = pt.system_for(ar.gen_ceva(3), 61169)
+    with pytest.raises(FileFormatError, match="line 2: expected `p <integer>`"):
+        pt.solution_from_text(sysd, f"# row\n{p_line}\nblock 1 2 3 4 5 6 7 8 61133\n")
+
+
+_PARTITION_LINE = st.one_of(
+    st.text(max_size=30),
+    st.tuples(
+        st.sampled_from(["p", "block", "#", "P"]),
+        st.lists(
+            st.one_of(
+                st.integers(-10, 70000).map(str),
+                st.sampled_from(["61169", "\u00b2", "9" * 5000, "1_0", "+3", "x"]),
+            ),
+            max_size=10,
+        ),
+    ).map(lambda t: " ".join([t[0], *t[1]])),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(lines=st.lists(_PARTITION_LINE, max_size=5))
+def test_solution_from_text_fuzz_raises_only_format_or_validation_errors(lines):
+    sysd = pt.system_for(ar.gen_ceva(3), 61169)
+    try:
+        pt.solution_from_text(sysd, "\n".join(lines))
+    except (FileFormatError, ValidationError):
+        pass
+
+
 def test_solution_validation_errors():
     sysd = _ones_system(7, 3)
     with pytest.raises(ValidationError):
