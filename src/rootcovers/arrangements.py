@@ -163,12 +163,19 @@ class LogChernNumbers:
         return Fraction(self.c1bar_sq, self.c2bar)
 
 
+# Most curve pairs on all points for validate (gen_ceva(316) has 448,878),
+# and the longest file load reads (its text is about 3 MB).
+MAX_INCIDENT_PAIRS = 500_000
+MAX_ARRANGEMENT_CHARS = 4_000_000
+
+
 def validate(a: Arrangement) -> CombinatorialData:
     """Check all structural rules and return the t_n counts.
 
     Raises ValidationError with a distinct code for each failure class:
     curve-count, curve-id-dup, block-range, block-size, block-gcd,
-    unknown-curve, d-point, line-pairs.
+    unknown-curve, d-point, line-pairs.  Points carrying more than
+    MAX_INCIDENT_PAIRS curve pairs in all raise BudgetError.
     """
     if a.d < 3:
         raise ValidationError("curve-count", f"need at least 3 curves, got {a.d}")
@@ -198,6 +205,9 @@ def validate(a: Arrangement) -> CombinatorialData:
                 "block-gcd", f"block {b} has u-gcd {g}; the u values must be coprime"
             )
 
+    pairs = sum(comb(len(pt.curves), 2) for pt in a.points)
+    if pairs > MAX_INCIDENT_PAIRS:
+        raise BudgetError(f"{pairs} curve pairs on points; the budget is {MAX_INCIDENT_PAIRS}")
     t: Counter[int] = Counter()
     pair_counts: Counter[tuple[int, int]] = Counter()
     for pt in a.points:
@@ -216,6 +226,7 @@ def validate(a: Arrangement) -> CombinatorialData:
             pair_counts[(x, y)] += 1
 
     if a.line_arrangement:
+        # at most `pairs` pairs are found before a missing one raises
         for x, y in combinations(range(a.d), 2):
             c = pair_counts.get((x, y), 0)
             if c != 1:
@@ -224,7 +235,7 @@ def validate(a: Arrangement) -> CombinatorialData:
                     f"lines {a.curves[x].id} and {a.curves[y].id} share {c} points; "
                     "every pair of lines must share exactly one",
                 )
-        if sum(comb(n, 2) * tn for n, tn in t.items()) != comb(a.d, 2):
+        if pairs != comb(a.d, 2):
             raise ValidationError(
                 "line-pairs", "point degrees do not cover all line pairs exactly once"
             )
@@ -630,4 +641,7 @@ def save(a: Arrangement, path) -> None:
 
 def load(path) -> Arrangement:
     with open(path, encoding="utf-8") as fh:
-        return from_text(fh.read())
+        text = fh.read(MAX_ARRANGEMENT_CHARS + 1)
+    if len(text) > MAX_ARRANGEMENT_CHARS:
+        raise BudgetError(f"{path} is over the budget of {MAX_ARRANGEMENT_CHARS} characters")
+    return from_text(text)

@@ -12,8 +12,8 @@ arithmetic functions of those residues, computed along independent routes:
 
 They are tied together by 12 chi = c1^2 + c2 and by the per-node identity
 c = 12 s + l, both verified on every evaluation; a failure of either is an
-internal bug, never bad input.  All arithmetic is exact, with a final
-integrality assertion on each invariant.
+internal bug, never bad input.  One node table is folded in exact integers
+(12p s and p c are integers), and each invariant must come out integral.
 """
 
 from __future__ import annotations
@@ -85,39 +85,49 @@ class CoverSpec:
 
 @dataclass(frozen=True)
 class ErrorTerms:
-    """Node-residue sums weighted by intersection counts.
+    """Node-residue sums weighted by intersection counts, as integers.
 
     scf = sum s(q, p) * D_i.D_j,  ccf = sum c(q, p) * D_i.D_j,
-    lcf = sum l(q, p) * D_i.D_j over all node residues q = p - nu_i' nu_j.
-    The identity ccf = 12 scf + lcf holds per node and is checked here.
+    lcf = sum l(q, p) * D_i.D_j over all node residues q = p - nu_i' nu_j,
+    kept as scf_num = 12p scf and ccf_num = p ccf; ccf = 12 scf + lcf is checked.
     """
 
-    scf: Fraction
-    ccf: Fraction
+    p: int
+    scf_num: int
+    ccf_num: int
     lcf: int
 
     def __post_init__(self):
-        if self.ccf != 12 * self.scf + self.lcf:
+        if self.ccf_num != self.scf_num + self.p * self.lcf:
             raise ConsistencyError(
                 "error-term identity ccf = 12 scf + lcf failed; "
                 "the Dedekind and continued-fraction routes disagree"
             )
 
+    @property
+    def scf(self) -> Fraction:
+        return Fraction(self.scf_num, 12 * self.p)
+
+    @property
+    def ccf(self) -> Fraction:
+        return Fraction(self.ccf_num, self.p)
+
+
+def _fold(nodes, p: int) -> ErrorTerms:
+    """Evaluate s, c, l per node (O(log p) each) and fold over the nodes."""
+    scf_num = ccf_num = lcf = 0
+    for node in nodes:
+        q, count = node.q, node.count
+        length, e_sum = _ncf_stats(q, p)
+        s = dedekind_fast(q, p)
+        scf_num += count * s.numerator * (12 * p // s.denominator)
+        ccf_num += count * (q + pow(q, -1, p) + p * (e_sum - 2 * length))
+        lcf += count * length
+    return ErrorTerms(p, scf_num, ccf_num, lcf)
+
 
 def _error_terms(spec: CoverSpec) -> ErrorTerms:
-    """Evaluate s, c, l per node (O(log p) each) and fold over the nodes."""
-    p = spec.p
-    scf = Fraction(0)
-    ccf = Fraction(0)
-    lcf = 0
-    for node in node_residues(spec.resolved, spec.nu):
-        q = node.q
-        length, e_sum = _ncf_stats(q, p)
-        c_val = Fraction(q + pow(q, -1, p) + p * (e_sum - 2 * length), p)
-        scf += node.count * dedekind_fast(q, p)
-        ccf += node.count * c_val
-        lcf += node.count * length
-    return ErrorTerms(scf, ccf, lcf)
+    return _fold(node_residues(spec.resolved, spec.nu), spec.p)
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -136,20 +146,11 @@ def _invariants(spec: CoverSpec, terms: ErrorTerms) -> tuple[Fraction, Fraction,
     ra = spec.resolved
     lc = log_chern_resolved(ra)
     node_weight = ra.t2_total + 2 * ra.sum_genus_defect
-    chi_v = (
-        p * ra.surface.chi
-        - Fraction((p * p - 1) * ra.sum_self_int, 12 * p)
-        + Fraction((p - 1) * node_weight, 4)
-        - terms.scf
-    )
-    c1_v = (
-        p * lc.c1bar_sq
-        - 2 * node_weight
-        + Fraction(ra.sum_self_int, p)
-        - terms.ccf
-    )
+    chi_num = 12 * p * p * ra.surface.chi - (p * p - 1) * ra.sum_self_int
+    chi_num += 3 * p * (p - 1) * node_weight - terms.scf_num  # 12p chi
+    c1_num = p * p * lc.c1bar_sq - 2 * p * node_weight + ra.sum_self_int - terms.ccf_num
     c2_v = p * lc.c2bar - node_weight + terms.lcf
-    return chi_v, c1_v, c2_v
+    return Fraction(chi_num, 12 * p), Fraction(c1_num, p), c2_v
 
 
 def chi(spec: CoverSpec) -> int:
@@ -182,10 +183,11 @@ class ChernReport:
 
 
 def _bounds_ok(terms: ErrorTerms, n_nodes: int, p: int) -> bool:
+    # the scf and ccf bounds scaled by 12p and p onto the integer numerators
     return (
-        lt_sqrt_bound(abs(terms.scf), 3 * n_nodes, 5 * n_nodes, p)
-        and lt_sqrt_bound(Fraction(terms.lcf), 3 * n_nodes, 2 * n_nodes, p)
-        and lt_sqrt_bound(abs(terms.ccf), 6 * n_nodes, 7 * n_nodes, p)
+        lt_sqrt_bound(abs(terms.scf_num), 36 * p * n_nodes, 60 * p * n_nodes, p)
+        and lt_sqrt_bound(terms.lcf, 3 * n_nodes, 2 * n_nodes, p)
+        and lt_sqrt_bound(abs(terms.ccf_num), 6 * p * n_nodes, 7 * p * n_nodes, p)
     )
 
 
@@ -197,7 +199,8 @@ def report(spec: CoverSpec) -> ChernReport:
     with N the node count; a violation there is raised as an internal
     error.  For non-good assignments the bounds are reported only.
     """
-    terms = _error_terms(spec)
+    goodness = is_good(spec.resolved, spec.nu, spec.farey)
+    terms = _fold(goodness.nodes, spec.p)
     chi_q, c1_q, c2_v = _invariants(spec, terms)
     chi_v = _as_int(chi_q, "chi")
     c1_v = _as_int(c1_q, "c1^2")
@@ -206,7 +209,6 @@ def report(spec: CoverSpec) -> ChernReport:
             f"12 chi = {12 * chi_v} but c1^2 + c2 = {c1_v + c2_v}; "
             "independent routes disagree"
         )
-    goodness = is_good(spec.resolved, spec.nu, spec.farey)
     n_nodes = spec.resolved.t2_total
     bounds = _bounds_ok(terms, n_nodes, spec.p)
     if goodness.good and not bounds and spec.p >= 17 and spec.farey.C == 1:

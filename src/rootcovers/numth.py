@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import BudgetError
+from .errors import BudgetError, ConsistencyError
 
 __all__ = [
     "PrimeModulus",
@@ -64,6 +64,8 @@ MAX_PRIME_RANGE = 1_000_000
 MAX_NCF_LENGTH = 1_000_000
 # Largest prime whose Farey bad set bad_set will enumerate.
 MAX_BADSET_P = 10_000_000
+# Most residues a bad_set may reach (a set of 10^6 takes about 84 MB).
+MAX_BADSET_MEMBERS = 1_000_000
 
 
 def is_prime(n: int) -> bool:
@@ -234,22 +236,23 @@ def dedekind_brute(q: int, p: int) -> Fraction:
 
 
 def dedekind_fast(q: int, p: int) -> Fraction:
-    """Dedekind sum via the reciprocity recursion, O(log p).
+    """Dedekind sum via the reciprocity recursion, O(log p), in integers.
 
-    s(a,b) = (a^2 + b^2 + 1 - 3ab)/(12ab) - s(b mod a, a), descending the
-    Euclid chain with alternating sign.  The sum is accumulated over an
-    unreduced integer numerator/denominator and reduced once at the end.
+    f(a, b) = 12b s(a, b) is an integer, and reciprocity gives the exact step
+    f(a, b) = (a^2 + b^2 + 1 - 3ab - b f(b mod a, a)) / a, taken back up the
+    Euclid chain of (q, p) from f(0, 1) = 0; a remainder is an internal error.
     """
     _check_residue(q, p)
-    num, den = 0, 1
-    a, b, sign = q, p, 1
+    chain, a, b = [], q, p
     while a:
-        t_num = a * a + b * b + 1 - 3 * a * b
-        t_den = 12 * a * b
-        num = num * t_den + sign * t_num * den
-        den *= t_den
-        a, b, sign = b % a, a, -sign
-    return Fraction(num, den)
+        chain.append((a, b))
+        a, b = b % a, a
+    f = 0
+    for a, b in reversed(chain):
+        f, rem = divmod(a * (a - 3 * b) + b * (b - f) + 1, a)
+        if rem:
+            raise ConsistencyError(f"reciprocity step at ({a}, {b}) left remainder {rem}")
+    return Fraction(f, 12 * p)
 
 
 def dedekind_from_ncf(q: int, p: int) -> Fraction:
@@ -326,8 +329,9 @@ def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:
     |q d - p c| <= a(d) = floor(C*sqrt(p)/d) for some c exactly when
     q d = r (mod p) for some |r| <= a(d), 1 <= d <= sqrt(p); for q in [0, p)
     that c lies in [0, d], and a non-reduced c/d = g c'/g d' is covered by
-    c'/d' since g a(g d') <= a(d').  O(C sqrt(p) log p + sqrt(p)) work; p
-    above MAX_BADSET_P raises BudgetError (is_farey_neighbour has no bound).
+    c'/d' since g a(g d') <= a(d').  O(C sqrt(p) log p + sqrt(p)) work; p above
+    MAX_BADSET_P or a reach min(p, sum_d (2 a(d) + 1)) above MAX_BADSET_MEMBERS
+    raises BudgetError before enumerating (is_farey_neighbour has no bound).
     """
     if p > MAX_BADSET_P:
         raise BudgetError(
@@ -335,11 +339,15 @@ def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:
         )
     cn, cd = config.C.numerator, config.C.denominator
     root = isqrt(cn * cn * p)  # floor(C_num * sqrt(p))
+    radii = [root // (d * cd) for d in range(1, isqrt(p) + 1)]
+    reach = min(p, sum(2 * a + 1 for a in radii))
+    if reach > MAX_BADSET_MEMBERS:
+        raise BudgetError(f"bad_set may hold {reach} residues; budget {MAX_BADSET_MEMBERS}")
     if 2 * (root // cd) + 1 >= p:  # the d = 1 residues alone cover Z/p
         return set(range(p))
     out: set[int] = set()
-    for d in range(1, isqrt(p) + 1):
-        a, inv = root // (d * cd), pow(d, -1, p)
+    for d, a in enumerate(radii, 1):
+        inv = pow(d, -1, p)
         out.update(r * inv % p for r in range(-a, a + 1))
     return out
 

@@ -370,6 +370,7 @@ def node_residues(
 class GoodnessReport:
     good: bool
     offending: tuple[tuple[tuple[str, str], int], ...]
+    nodes: tuple[NodeResidue, ...]  # the node table the verdict was read from
 
 
 def is_good(
@@ -378,11 +379,11 @@ def is_good(
     config: FareyConfig = DEFAULT_FAREY,
 ) -> GoodnessReport:
     """Good iff no node residue is a Farey neighbour."""
-    offending = []
-    for node in node_residues(resolved, ma):
-        if is_farey_neighbour(node.q, ma.p, config):
-            offending.append((node.pair, node.q))
-    return GoodnessReport(not offending, tuple(offending))
+    nodes = tuple(node_residues(resolved, ma))
+    offending = tuple(
+        (node.pair, node.q) for node in nodes if is_farey_neighbour(node.q, ma.p, config)
+    )
+    return GoodnessReport(not offending, offending, nodes)
 
 
 @dataclass(frozen=True)

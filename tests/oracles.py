@@ -1,17 +1,25 @@
 """Slow reference routes that the package's results are tested against.
 
-Each recomputes a quantity of the package by independent, naive O(p)
-arithmetic; they live beside the tests because nothing in the package
-needs them.
+Each recomputes a quantity of the package by an independent route: naive
+O(p) arithmetic, or rational arithmetic where the package folds integers;
+they live beside the tests because nothing in the package needs them.
 """
 
 import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+from rootcovers.arrangements import log_chern_resolved
 from rootcovers.covers import CoverSpec
 from rootcovers.errors import BudgetError, EmptySolutionSetError
-from rootcovers.numth import DEFAULT_FAREY, FareyConfig
+from rootcovers.numth import (
+    DEFAULT_FAREY,
+    FareyConfig,
+    _ncf_stats,
+    is_farey_neighbour,
+    lt_sqrt_bound,
+)
+from rootcovers.partitions import node_residues
 
 
 def ncf_convergents(e) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -137,6 +145,70 @@ def floor_sum_oracle(
         s_ab = (comb_val - closed) / 2  # = s(a' b, p)
         scf += count * (-s_ab)  # s(p - a' b, p) = -s(a' b, p)
     return chi_val, scf
+
+
+def dedekind_fraction(q: int, p: int) -> Fraction:
+    """s(q, p) by the reciprocity recursion in rational arithmetic:
+    s(a,b) = (a^2 + b^2 + 1 - 3ab)/(12ab) - s(b mod a, a), summed down the
+    Euclid chain with alternating sign over one unreduced numerator and
+    denominator."""
+    num, den = 0, 1
+    a, b, sign = q, p, 1
+    while a:
+        t_num = a * a + b * b + 1 - 3 * a * b
+        t_den = 12 * a * b
+        num = num * t_den + sign * t_num * den
+        den *= t_den
+        a, b, sign = b % a, a, -sign
+    return Fraction(num, den)
+
+
+def fraction_report(spec: CoverSpec) -> dict:
+    """Every field of covers.report by the rational fold: error terms summed
+    as Fractions over their own node table, and goodness from a second one.
+
+    Returns the report's fields by name, with scf, ccf and lcf for its
+    error terms and offending for its goodness.
+    """
+    p = spec.p
+    ra = spec.resolved
+    scf = ccf = Fraction(0)
+    lcf = 0
+    for node in node_residues(ra, spec.nu):
+        q = node.q
+        length, e_sum = _ncf_stats(q, p)
+        scf += node.count * dedekind_fraction(q, p)
+        ccf += node.count * Fraction(q + pow(q, -1, p) + p * (e_sum - 2 * length), p)
+        lcf += node.count * length
+    assert ccf == 12 * scf + lcf
+    lc = log_chern_resolved(ra)
+    node_weight = ra.t2_total + 2 * ra.sum_genus_defect
+    chi = (
+        p * ra.surface.chi
+        - Fraction((p * p - 1) * ra.sum_self_int, 12 * p)
+        + Fraction((p - 1) * node_weight, 4)
+        - scf
+    )
+    c1_sq = p * lc.c1bar_sq - 2 * node_weight + Fraction(ra.sum_self_int, p) - ccf
+    c2 = p * lc.c2bar - node_weight + lcf
+    offending = tuple(
+        (node.pair, node.q)
+        for node in node_residues(ra, spec.nu)
+        if is_farey_neighbour(node.q, p, spec.farey)
+    )
+    n = ra.t2_total
+    bounds_ok = (
+        lt_sqrt_bound(abs(scf), 3 * n, 5 * n, p)
+        and lt_sqrt_bound(Fraction(lcf), 3 * n, 2 * n, p)
+        and lt_sqrt_bound(abs(ccf), 6 * n, 7 * n, p)
+    )
+    return {
+        "chi": chi, "c1_sq": c1_sq, "c2": c2,
+        "ratio_c": c1_sq / c2, "ratio_chi": c1_sq / chi,
+        "scf": scf, "ccf": ccf, "lcf": lcf,
+        "good": not offending, "offending": offending,
+        "bounds_ok": bounds_ok, "n_nodes": n,
+    }
 
 
 def bad_set_enumeration(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:

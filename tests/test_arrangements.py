@@ -2,6 +2,8 @@
 
 import json
 from fractions import Fraction
+from math import comb
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -341,3 +343,52 @@ def test_file_save_load(tmp_path):
     path = tmp_path / "ceva4.json"
     ar.save(a, path)
     assert ar.load(path) == a
+
+
+def _crowded_point(n):
+    """n lines, one point on all but the last."""
+    curves = tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, 1) for i in range(n))
+    return ar.Arrangement(ar.P2, 1, curves, (ar.PointDecl(tuple(c.id for c in curves[:-1])),))
+
+
+def _curve_pairs(a):
+    return sum(comb(len(pt.curves), 2) for pt in a.points)
+
+
+def test_validate_pair_budget_is_checked_before_the_pair_loop(monkeypatch):
+    a = _crowded_point(2000)  # 1,997,001 curve pairs on one point
+    start = perf_counter()
+    with pytest.raises(BudgetError):
+        ar.validate(a)
+    assert perf_counter() - start < 0.2
+    dh = ar.gen_ceva(3)
+    monkeypatch.setattr(ar, "MAX_INCIDENT_PAIRS", _curve_pairs(dh))
+    assert ar.validate(dh).t == {3: 12}
+    monkeypatch.setattr(ar, "MAX_INCIDENT_PAIRS", _curve_pairs(dh) - 1)
+    with pytest.raises(BudgetError):
+        ar.validate(dh)
+
+
+def test_load_refuses_files_over_the_size_budget(tmp_path):
+    text = ar.to_text(ar.gen_ceva(3))
+    path = tmp_path / "padded.json"
+    path.write_text(text + " " * (ar.MAX_ARRANGEMENT_CHARS - len(text)))
+    assert ar.load(path) == ar.gen_ceva(3)
+    path.write_text(text + " " * (ar.MAX_ARRANGEMENT_CHARS - len(text) + 1))
+    start = perf_counter()
+    with pytest.raises(BudgetError):
+        ar.load(path)
+    assert perf_counter() - start < 0.5
+
+
+def test_largest_generator_outputs_fit_the_validate_and_load_budgets(tmp_path):
+    # the largest parameters MAX_GENERATOR_WORK admits for each generator
+    for a in (ar.gen_underline_ceva(316), ar.gen_general_lines(447), ar.gen_pg2(17),
+              ar.gen_p1xp1(3, 3, 312)):
+        assert _curve_pairs(a) <= ar.MAX_INCIDENT_PAIRS
+        assert len(ar.to_text(a)) <= ar.MAX_ARRANGEMENT_CHARS
+    a = ar.gen_ceva(316)  # the most pairs and the longest text
+    path = tmp_path / "ceva316.json"
+    ar.save(a, path)
+    assert ar.load(path) == a
+    assert ar.validate(a).t == {3: 316 * 316, 316: 3}

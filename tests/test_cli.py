@@ -298,6 +298,39 @@ def test_badset_budget(capsys):
     assert main(["badset", "--p", "982451653"]) == EXIT_BUDGET
 
 
+def test_badset_member_budget_refuses_at_once(capsys):
+    # |F| could reach all 9999991 residues; refused before any is enumerated
+    start = perf_counter()
+    assert main(["badset", "--p", "9999991", "--C", "1000"]) == EXIT_BUDGET
+    assert perf_counter() - start < 0.5
+    assert "budget" in capsys.readouterr().err
+
+
+def test_crowded_arrangement_file_is_refused_at_once(tmp_path, capsys):
+    curves = tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, 1) for i in range(2000))
+    crowded = ar.Arrangement(ar.P2, 1, curves, (ar.PointDecl(tuple(c.id for c in curves[1:])),))
+    path = tmp_path / "crowded.json"
+    ar.save(crowded, path)
+    for action in ("info", "validate"):
+        start = perf_counter()
+        assert main(["arrangement", action, "--arrangement", str(path)]) == EXIT_BUDGET
+        assert perf_counter() - start < 0.5
+    assert "curve pairs" in capsys.readouterr().err
+
+
+def test_wrong_ncf_sum_exits_as_internal_error(dual_hesse_file, tmp_path, monkeypatch, capsys):
+    real = cv._ncf_stats
+    monkeypatch.setattr(cv, "_ncf_stats", lambda q, p: (real(q, p)[0], real(q, p)[1] + 1))
+    partition = tmp_path / "row.txt"
+    partition.write_text("p 61169\nblock 1 2 3 4 5 6 7 8 61133\n")
+    code = main([
+        "invariants", "--arrangement", dual_hesse_file, "--p", "61169",
+        "--partition", str(partition),
+    ])
+    assert code == EXIT_INTERNAL
+    assert "error-term identity" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p", ["4", "1", "0", "-5", "3027"])
 def test_badset_rejects_nonprime(p, capsys):
     assert main(["badset", "--p", p]) == EXIT_VALIDATION

@@ -2,17 +2,20 @@
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rootcovers import arrangements as ar
 from rootcovers import covers as cv
 from rootcovers import partitions as pt
-from rootcovers.errors import BudgetError, NonIntegral
-from rootcovers.numth import dedekind_fast, ncf_length, primes_between
+from rootcovers.errors import BudgetError, ConsistencyError, ExceptionalVanishes, NonIntegral
+from rootcovers.numth import FareyConfig, dedekind_fast, is_prime, ncf_length, primes_between
 
-from oracles import floor_sum_oracle, floor_sum_S, weighted_floor_sum
+from oracles import floor_sum_oracle, floor_sum_S, fraction_report, weighted_floor_sum
 
 
 def _cover(a, p, parts):
@@ -261,10 +264,9 @@ def test_leading_term_scaling():
     assert abs(Fraction(rep.c2, p) - 9) < Fraction(9, 100)
 
 
-def test_weighted_block_cover_end_to_end():
+def _conic_and_four_lines():
     # hand-written divisible arrangement: one conic (u = 2) and four lines
-    # in general position on the plane; exercises non-unit weights all the
-    # way through sampling, assignment, and the invariants
+    # in general position on the plane
     conic = ar.CurveDecl("Q", 0, 4, 1, 2)
     lines = [ar.CurveDecl(f"L{i}", 0, 1, 1, 1) for i in range(1, 5)]
     points = []
@@ -274,7 +276,13 @@ def test_weighted_block_cover_end_to_end():
     for i in range(1, 5):
         for j in range(i + 1, 5):
             points.append(ar.PointDecl((f"L{i}", f"L{j}")))
-    a = ar.Arrangement(ar.P2, 1, (conic, *lines), tuple(points))
+    return ar.Arrangement(ar.P2, 1, (conic, *lines), tuple(points))
+
+
+def test_weighted_block_cover_end_to_end():
+    # exercises non-unit weights all the way through sampling, assignment,
+    # and the invariants
+    a = _conic_and_four_lines()
     assert ar.validate(a).t == {2: 14}
     assert ar.log_chern_direct(a) == ar.log_chern_resolved(ar.resolve(a))
 
@@ -290,6 +298,81 @@ def test_weighted_block_cover_end_to_end():
             chi_o, scf_o = floor_sum_oracle(cv.CoverSpec(p, ra, pt.assign(ra, sol)))
             assert chi_o == rep.chi
             assert scf_o == rep.error_terms.scf
+
+
+_ORACLE_ARRANGEMENTS = {
+    "dual-hesse": ar.gen_ceva(3),
+    "conic-and-four-lines": _conic_and_four_lines(),
+    "underline-ceva": ar.gen_underline_ceva(5),
+}
+_LARGE_PRIMES = (1_000_000_007, 999_999_999_989, 10**18 + 3)
+
+
+def _prime_from(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_ORACLE_ARRANGEMENTS)),
+    p=st.one_of(st.integers(61, 10**6).map(_prime_from), st.sampled_from(_LARGE_PRIMES)),
+    C=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(1, 3)]),
+    data=st.data(),
+)
+def test_report_matches_fraction_fold_oracle(name, p, C, data):
+    # the integer fold over the goodness check's node table against the
+    # rational fold over node tables of its own; small parts make bad covers
+    a = _ORACLE_ARRANGEMENTS[name]
+    ra = ar.resolve(a)
+    sysd = pt.system_for(a, p)
+    parts = []
+    for block in sysd.blocks:
+        k, u = len(block.u), block.u
+        assert u[-1] == 1
+        head = [data.draw(st.integers(1, p // (2 * k * max(u)))) for _ in range(k - 1)]
+        parts.append(head + [p - sum(w * m for w, m in zip(u, head))])
+    sol = pt.solution_from_parts(sysd, parts)
+    try:
+        ma = pt.assign(ra, sol)
+    except ExceptionalVanishes:
+        assume(False)
+    spec = cv.CoverSpec(p, ra, ma, FareyConfig(C))
+    rep = cv.report(spec)
+    want = fraction_report(spec)
+    got = {
+        "chi": rep.chi, "c1_sq": rep.c1_sq, "c2": rep.c2,
+        "ratio_c": rep.ratio_c, "ratio_chi": rep.ratio_chi,
+        "scf": rep.error_terms.scf, "ccf": rep.error_terms.ccf, "lcf": rep.error_terms.lcf,
+        "good": rep.good, "offending": rep.goodness.offending,
+        "bounds_ok": rep.bounds_ok, "n_nodes": rep.n_nodes,
+    }
+    assert got == want
+
+
+def test_report_builds_one_node_table(monkeypatch):
+    spec = _dual_hesse_cover(61169, [1, 29, 89, 269, 1019, 3469, 7919, 15859, 32515])
+    calls = Counter()
+    for module, name in ((pt, "node_residues"), (cv, "node_residues"),
+                         (cv, "_ncf_stats"), (cv, "dedekind_fast")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    rep = cv.report(spec)
+    nodes = len(spec.resolved.nodes)
+    assert len(rep.goodness.nodes) == nodes
+    assert calls == {"node_residues": 1, "_ncf_stats": nodes, "dedekind_fast": nodes}
+
+
+def test_wrong_ncf_sum_breaks_the_error_term_identity(monkeypatch):
+    spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
+    real = cv._ncf_stats
+    monkeypatch.setattr(cv, "_ncf_stats", lambda q, p: (real(q, p)[0], real(q, p)[1] + 1))
+    with pytest.raises(ConsistencyError, match="error-term identity"):
+        cv.report(spec)
 
 
 def test_convergence_scan_small():

@@ -174,6 +174,15 @@ def test_dedekind_fast_examples():
     assert nt.dedekind_fast(60000, p) == nt.dedekind_brute(60000, p)
 
 
+def test_dedekind_fast_is_an_integer_over_6p_and_matches_brute():
+    # 6p s(q, p) is an integer (Rademacher-Grosswald), every q at every p < 400
+    for p in nt.primes_between(3, 399):
+        for q in range(1, p):
+            s = nt.dedekind_fast(q, p)
+            assert (6 * p * s).denominator == 1
+            assert s == nt.dedekind_brute(q, p), (q, p)
+
+
 def test_dedekind_from_ncf_examples():
     assert nt.dedekind_from_ncf(5, 7) == Fraction(-1, 14)
     assert nt.dedekind_from_ncf(1, 5) == Fraction(1, 5)
@@ -291,6 +300,20 @@ def test_bad_set_budget(monkeypatch):
         nt.bad_set(1009)
     # membership has no budget
     assert nt.is_farey_neighbour(0, 10**9 + 7) is True
+
+
+def test_bad_set_member_budget_bounds_the_reach(monkeypatch):
+    # reach min(p, sum_d (2 a(d) + 1)) at p = 1009, C = 1: 31 radii a(d) = 31 // d
+    reach = sum(2 * (31 // d) + 1 for d in range(1, 32))
+    monkeypatch.setattr(nt, "MAX_BADSET_MEMBERS", reach)
+    assert len(nt.bad_set(1009)) == 183 <= reach
+    monkeypatch.setattr(nt, "MAX_BADSET_MEMBERS", reach - 1)
+    with pytest.raises(BudgetError):
+        nt.bad_set(1009)
+    # a C that covers Z/p has reach p
+    monkeypatch.setattr(nt, "MAX_BADSET_MEMBERS", 100)
+    with pytest.raises(BudgetError):
+        nt.bad_set(101, nt.FareyConfig(10**12))
 
 
 ORACLE_C = (
