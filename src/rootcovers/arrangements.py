@@ -12,7 +12,9 @@ transforms keep their genus and lose one unit of self-intersection per such
 point, and each blown-up point contributes a genus-0 divisor of
 self-intersection -1 meeting each incident proper transform once.  Log
 Chern numbers are computed both from the raw combinatorial data and from
-the resolved configuration; the two must agree.
+the resolved configuration; the two must agree.  An Arrangement is checked
+once, when it is built, and every consumer reads the t_n counts it keeps as
+`a.data`; only an explicit `validate(a)` re-runs the checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -125,11 +127,17 @@ class PointDecl:
 
 @dataclass(frozen=True)
 class Arrangement:
+    """Checked once, when built: `data` is what validate returned (not compared)."""
+
     surface: SurfaceClass
     blocks: int
     curves: tuple[CurveDecl, ...]
     points: tuple[PointDecl, ...]
     line_arrangement: bool = False
+    data: CombinatorialData = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", validate(self))
 
     @property
     def d(self) -> int:
@@ -170,7 +178,7 @@ MAX_ARRANGEMENT_CHARS = 4_000_000
 
 
 def validate(a: Arrangement) -> CombinatorialData:
-    """Check all structural rules and return the t_n counts.
+    """Re-run every structural check that building `a` ran, and return the t_n counts.
 
     Raises ValidationError with a distinct code for each failure class:
     curve-count, curve-id-dup, block-range, block-size, block-gcd,
@@ -245,15 +253,14 @@ def validate(a: Arrangement) -> CombinatorialData:
 
 def log_chern_direct(a: Arrangement) -> LogChernNumbers:
     """Log Chern numbers straight from d, t_n, genus and self-intersections."""
-    data = validate(a)
     gsum = sum(c.genus - 1 for c in a.curves)
     c1 = (
         a.surface.c1_sq
         - sum(c.self_int for c in a.curves)
-        + sum((3 * n - 4) * tn for n, tn in data.t.items())
+        + sum((3 * n - 4) * tn for n, tn in a.data.t.items())
         + 4 * gsum
     )
-    c2 = a.surface.c2 + sum((n - 1) * tn for n, tn in data.t.items()) + 2 * gsum
+    c2 = a.surface.c2 + sum((n - 1) * tn for n, tn in a.data.t.items()) + 2 * gsum
     return LogChernNumbers(c1, c2)
 
 
@@ -302,7 +309,6 @@ def resolve(a: Arrangement) -> ResolvedArrangement:
     proper transforms; each blown-up n-point contributes n nodes, one
     between its exceptional divisor and each incident proper transform.
     """
-    validate(a)
     index = a.curve_index()
     heavy = [pt for pt in a.points if len(pt.curves) >= 3]
     incident_heavy = Counter()
@@ -536,7 +542,7 @@ def diagnostics(a: Arrangement) -> ArrangementDiagnostics:
     """
     if not a.line_arrangement:
         raise ValueError("diagnostics apply to plane line arrangements only")
-    data = validate(a)
+    data = a.data
     lhs = Fraction(data.t_n(2)) + Fraction(3, 4) * data.t_n(3)
     rhs = Fraction(data.d + sum((n - 4) * tn for n, tn in data.t.items() if n > 4))
     pair_floor = Fraction(data.t_n(2)) + Fraction(1, 4) * data.t_n(3) >= 3

@@ -97,12 +97,6 @@ def _manifest_lines(args, command: str, extra: dict | None = None) -> list[str]:
     return [f"# manifest {key}={entries[key]}" for key in sorted(entries)]
 
 
-def _load_arrangement(path: str) -> arr.Arrangement:
-    a = arr.load(path)
-    arr.validate(a)
-    return a
-
-
 # ---------------------------------------------------------------------------
 # arrangement subcommand
 
@@ -125,11 +119,10 @@ def _cmd_arrangement(args) -> int:
         return EXIT_OK
 
     a = arr.load(args.arrangement)
-    data = arr.validate(a)
     out = _Output(args.out)
     if args.action == "validate":
         out.emit(f"arrangement {args.arrangement}: valid")
-        out.emit(f"d={data.d} blocks={a.blocks} points={len(a.points)}")
+        out.emit(f"d={a.d} blocks={a.blocks} points={len(a.points)}")
         if a.line_arrangement:
             diag = arr.diagnostics(a)
             out.emit(
@@ -145,8 +138,8 @@ def _cmd_arrangement(args) -> int:
     # info
     lc = arr.log_chern_direct(a)
     out.emit(f"surface: {a.surface.name} (c1^2={a.surface.c1_sq}, c2={a.surface.c2})")
-    out.emit(f"curves: d={data.d} in {a.blocks} block(s)")
-    for n, tn in sorted(data.t.items()):
+    out.emit(f"curves: d={a.d} in {a.blocks} block(s)")
+    for n, tn in sorted(a.data.t.items()):
         out.emit(f"t_{n} = {tn}")
     out.emit(f"log c1^2 = {lc.c1bar_sq}")
     out.emit(f"log c2   = {lc.c2bar}")
@@ -172,7 +165,7 @@ def _partition_text(parts) -> str:
 def _cmd_invariants(args) -> int:
     if not is_prime(args.p):
         raise ValidationError("p-prime", f"--p {args.p} is not prime")
-    a = _load_arrangement(args.arrangement)
+    a = arr.load(args.arrangement)
     resolved = arr.resolve(a)
     config = FareyConfig(args.C)
     sysd = partitions.system_for(a, args.p)
@@ -308,7 +301,7 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def _cmd_scan(args) -> int:
-    a = _load_arrangement(args.arrangement)
+    a = arr.load(args.arrangement)
     primes = _parse_primes(args.primes)
     config = FareyConfig(args.C)
     result = covers.convergence_scan(

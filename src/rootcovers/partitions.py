@@ -53,7 +53,11 @@ __all__ = [
     "solution_from_text",
 ]
 
-DEFAULT_CELL_BUDGET = 50_000_000
+# Most stored cells of one suffix-count table, and most node checks one
+# sample_good call may make (max_tries x nodes; the largest input in the
+# tests, demos and benchmark is 500 tries x 36 nodes).
+MAX_SUFFIX_CELLS = 50_000_000
+MAX_SAMPLING_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -137,32 +141,32 @@ def _suffix_counts(u: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ..
     return tuple(levels)
 
 
-def _suffix_table(u: tuple[int, ...], target: int, cell_budget: int):
-    """_suffix_counts(u, target), refused when its stored cells exceed cell_budget."""
+def _suffix_table(u: tuple[int, ...], target: int):
+    """_suffix_counts(u, target), refused when its stored cells exceed MAX_SUFFIX_CELLS."""
     h = _ones_tail(u)
-    if h * (target + 1) > cell_budget:
+    if h * (target + 1) > MAX_SUFFIX_CELLS:
         raise BudgetError(
-            f"suffix table of {h}x{target + 1} cells exceeds the budget {cell_budget}"
+            f"suffix table of {h}x{target + 1} cells exceeds the budget {MAX_SUFFIX_CELLS}"
         )
     return _suffix_counts(u, target) if h else ()
 
 
-def _block_count(block: DiophBlock, p: int, cell_budget: int) -> int:
+def _block_count(block: DiophBlock, p: int) -> int:
     if p < sum(block.u):
         return 0
-    S = _suffix_table(block.u, p, cell_budget)
+    S = _suffix_table(block.u, p)
     return S[0][p] if S else comb(p - 1, len(block.u) - 1)
 
 
-def count_solutions(sys: DiophSystem, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+def count_solutions(sys: DiophSystem) -> int:
     """Exact number of positive solutions (product over blocks).
 
     All-ones blocks use the closed form C(p-1, k-1); other blocks read the
-    suffix-count table, whose stored cells are checked against `cell_budget`.
+    suffix-count table, whose stored cells are checked against MAX_SUFFIX_CELLS.
     """
     total = 1
     for block in sys.blocks:
-        total *= _block_count(block, sys.p, cell_budget)
+        total *= _block_count(block, sys.p)
     return total
 
 
@@ -170,9 +174,7 @@ def count_solutions(sys: DiophSystem, cell_budget: int = DEFAULT_CELL_BUDGET) ->
 # Exact-uniform sampling
 
 
-def _sample_block(
-    u: tuple[int, ...], target: int, rng: random.Random, cell_budget: int
-) -> list[int]:
+def _sample_block(u: tuple[int, ...], target: int, rng: random.Random) -> list[int]:
     """Uniform positive solution of u . mu = target, one part at a time.
 
     Part j is drawn from its exact marginal with one randrange: by the
@@ -183,7 +185,7 @@ def _sample_block(
     table; the tail bisects the closed form C(rem-1, left-1) instead.
     """
     k = len(u)
-    S = _suffix_table(u, target, cell_budget)
+    S = _suffix_table(u, target)
     h = len(S)
     if h and S[0][target] == 0:
         raise EmptySolutionSetError(f"no positive solution of {u} . mu = {target}")
@@ -277,24 +279,22 @@ def solution_from_parts(sys: DiophSystem, parts_per_block) -> PartitionSolution:
     return sol
 
 
-def _sample(sys: DiophSystem, rng: random.Random, cell_budget: int) -> PartitionSolution:
+def _sample(sys: DiophSystem, rng: random.Random) -> PartitionSolution:
     mu: dict[str, int] = {}
     for block in sys.blocks:
         if sys.p < sum(block.u):
             raise EmptySolutionSetError(
                 f"p={sys.p} is below the minimal block sum {sum(block.u)}"
             )
-        parts = _sample_block(block.u, sys.p, rng, cell_budget)
+        parts = _sample_block(block.u, sys.p, rng)
         for cid, value in zip(block.curve_ids, parts):
             mu[cid] = value
     return PartitionSolution(sys.p, mu)
 
 
-def sample_uniform(
-    sys: DiophSystem, seed: int, cell_budget: int = DEFAULT_CELL_BUDGET
-) -> PartitionSolution:
+def sample_uniform(sys: DiophSystem, seed: int) -> PartitionSolution:
     """Exactly uniform positive solution; deterministic for a given seed."""
-    return _sample(sys, random.Random(seed), cell_budget)
+    return _sample(sys, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +399,26 @@ def sample_good(
     seed: int,
     max_tries: int = 100,
     config: FareyConfig = DEFAULT_FAREY,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
 ) -> GoodSample:
     """Rejection-sample until a good solution appears.
 
     Solutions whose blow-up multiplicity vanishes mod p count as bad tries.
     The try count is an empirical estimate of the bad fraction.  For
     parallel work, split seeds as seed + worker index; a single call is
-    fully deterministic in `seed`.
+    fully deterministic in `seed`.  Each try checks every node, so
+    max_tries x nodes above MAX_SAMPLING_NODES is refused before the first draw.
     """
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
+    checks = max_tries * len(resolved.nodes)
+    if checks > MAX_SAMPLING_NODES:
+        raise BudgetError(
+            f"{max_tries} tries x {len(resolved.nodes)} nodes = {checks} node checks; "
+            f"the budget is {MAX_SAMPLING_NODES}"
+        )
     rng = random.Random(seed)
     for tries in range(1, max_tries + 1):
-        sol = _sample(sys, rng, cell_budget)
+        sol = _sample(sys, rng)
         try:
             ma = assign(resolved, sol)
         except ExceptionalVanishes:

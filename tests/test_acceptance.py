@@ -146,7 +146,7 @@ def test_criterion_5_oracle_equivalence():
         for p in nt.primes_between(5, 500):
             sysd = pt.system_for(a, p)
             for _ in range(50):
-                sol = pt._sample(sysd, rnd, pt.DEFAULT_CELL_BUDGET)
+                sol = pt._sample(sysd, rnd)
                 ma = pt.assign(ra, sol)
                 spec = cv.CoverSpec(p, ra, ma)
                 chi_o, _ = floor_sum_oracle(spec)
@@ -281,7 +281,7 @@ def test_criterion_9_sampler_correctness():
     rng = random.Random(17)
     counts = {o: 0 for o in outcomes}
     for _ in range(66_000):
-        sol = pt._sample(sysd, rng, pt.DEFAULT_CELL_BUDGET)
+        sol = pt._sample(sysd, rng)
         counts[tuple(sol.mu.values())] += 1
     expected = 66_000 / 66
     stat = sum((c - expected) ** 2 / expected for c in counts.values())

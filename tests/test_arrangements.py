@@ -76,15 +76,14 @@ def test_p1xp1_counts():
 def test_validate_diagnostics_codes():
     dh = ar.gen_ceva(3)
     # d-point
-    bad = ar.Arrangement(
-        dh.surface,
-        1,
-        dh.curves[:3],
-        (ar.PointDecl(tuple(c.id for c in dh.curves[:3])),),
-        line_arrangement=False,
-    )
     with pytest.raises(ValidationError) as err:
-        ar.validate(bad)
+        ar.Arrangement(
+            dh.surface,
+            1,
+            dh.curves[:3],
+            (ar.PointDecl(tuple(c.id for c in dh.curves[:3])),),
+            line_arrangement=False,
+        )
     assert err.value.code == "d-point"
     # block gcd
     curves = tuple(
@@ -100,12 +99,34 @@ def test_validate_diagnostics_codes():
     assert err.value.code == "block-size"
     # line-pair coverage
     tri = ar.gen_general_lines(3)
-    broken = ar.Arrangement(
-        tri.surface, 1, tri.curves, tri.points[:2], line_arrangement=True
-    )
     with pytest.raises(ValidationError) as err:
-        ar.validate(broken)
+        ar.Arrangement(tri.surface, 1, tri.curves, tri.points[:2], line_arrangement=True)
     assert err.value.code == "line-pairs"
+
+
+def test_construction_raises_each_validate_code():
+    lines = tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, 1) for i in range(3))
+    cases = {
+        "curve-count": (1, lines[:2], ()),
+        "curve-id-dup": (1, lines[:2] + (lines[0],), ()),
+        "block-range": (1, lines + (ar.CurveDecl("M", 0, 1, 2, 1),), ()),
+        "unknown-curve": (1, lines, (ar.PointDecl(("L0", "X")),)),
+    }
+    for code, (blocks, curves, points) in cases.items():
+        with pytest.raises(ValidationError) as err:
+            ar.Arrangement(ar.P2, blocks, curves, points)
+        assert err.value.code == code
+
+
+def test_generated_arrangements_carry_their_validate_data():
+    for a in _all_generated():
+        assert a.data == ar.validate(a)
+        assert hash(a) == hash(ar.from_text(ar.to_text(a)))
+    a = ar.gen_ceva(3)
+    twin = ar.gen_ceva(3)
+    object.__setattr__(twin, "data", ar.CombinatorialData(0, {}))
+    assert twin == a and hash(twin) == hash(a)
+    assert "data" not in repr(a)
 
 
 def test_reserved_exceptional_ids():
@@ -356,10 +377,9 @@ def _curve_pairs(a):
 
 
 def test_validate_pair_budget_is_checked_before_the_pair_loop(monkeypatch):
-    a = _crowded_point(2000)  # 1,997,001 curve pairs on one point
     start = perf_counter()
     with pytest.raises(BudgetError):
-        ar.validate(a)
+        _crowded_point(2000)  # 1,997,001 curve pairs on one point
     assert perf_counter() - start < 0.2
     dh = ar.gen_ceva(3)
     monkeypatch.setattr(ar, "MAX_INCIDENT_PAIRS", _curve_pairs(dh))

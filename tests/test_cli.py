@@ -307,10 +307,18 @@ def test_badset_member_budget_refuses_at_once(capsys):
 
 
 def test_crowded_arrangement_file_is_refused_at_once(tmp_path, capsys):
-    curves = tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, 1) for i in range(2000))
-    crowded = ar.Arrangement(ar.P2, 1, curves, (ar.PointDecl(tuple(c.id for c in curves[1:])),))
+    # written by hand: building this over-budget Arrangement would raise
+    ids = [f"L{i}" for i in range(2000)]
+    crowded = {
+        "format": "arrangement/1",
+        "surface": {"name": "P2", "c1_sq": 9, "c2": 3},
+        "blocks": 1,
+        "flags": {"line_arrangement": False},
+        "curves": [{"id": c, "genus": 0, "self_int": 1, "block": 1, "u": 1} for c in ids],
+        "points": [ids[1:]],
+    }
     path = tmp_path / "crowded.json"
-    ar.save(crowded, path)
+    path.write_text(json.dumps(crowded))
     for action in ("info", "validate"):
         start = perf_counter()
         assert main(["arrangement", action, "--arrangement", str(path)]) == EXIT_BUDGET
@@ -486,3 +494,79 @@ def test_manifest_reruns_byte_identical(dual_hesse_file, tmp_path):
     assert main(argv) == EXIT_OK
     assert first == path.read_bytes()
     assert b"# manifest" in first
+
+
+def _count_validate(monkeypatch) -> list:
+    """Record every arrangements.validate call from now on, construction's included."""
+    calls = []
+    real = ar.validate
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(ar, "validate", counted)
+    return calls
+
+
+def _command_lines(tmp_path):
+    hesse = tmp_path / "hesse.json"
+    pencil = tmp_path / "underline.json"
+    part = tmp_path / "row.txt"
+    assert main(["arrangement", "generate", "ceva", "3", "--out", str(hesse)]) == EXIT_OK
+    assert main(["arrangement", "generate", "underline-ceva", "3", "--out", str(pencil)]) == EXIT_OK
+    part.write_text("p 61169\nblock 1 2 3 4 5 6 7 8 61133\n")
+    return {
+        "validate-lines": ["arrangement", "validate", "--arrangement", str(hesse)],
+        "validate-curves": ["arrangement", "validate", "--arrangement", str(pencil)],
+        "info": ["arrangement", "info", "--arrangement", str(hesse)],
+        "invariants-partition": ["invariants", "--arrangement", str(hesse), "--p", "61169",
+                                 "--partition", str(part)],
+        "invariants-seed": ["invariants", "--arrangement", str(hesse), "--p", "61169",
+                            "--seed", "1"],
+        "scan": ["scan", "--arrangement", str(hesse), "--primes", "10103,61169",
+                 "--samples", "2", "--seed", "1"],
+        "tables": ["tables", "remark71a"],
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["validate-lines", "validate-curves", "info", "invariants-partition",
+     "invariants-seed", "scan", "tables"],
+)
+def test_each_command_validates_its_arrangement_once(command, tmp_path, monkeypatch, capsys):
+    argv = _command_lines(tmp_path)[command]
+    calls = _count_validate(monkeypatch)
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_consumers_do_not_revalidate_a_built_arrangement(monkeypatch):
+    from rootcovers import tables
+
+    hesse, pencil = ar.gen_ceva(3), ar.gen_underline_ceva(3)
+    calls = _count_validate(monkeypatch)
+    for a in (hesse, pencil):
+        ar.resolve(a)
+        ar.log_chern_direct(a)
+    ar.diagnostics(hesse)
+    cv.convergence_scan(hesse, [10103], samples_per_prime=2, seed=1)
+    assert calls == []
+    tables.run_table("section10")  # builds its arrangement, then reuses it
+    assert len(calls) == 1
+
+
+def test_sampling_budget_refuses_tries_times_nodes_at_once(tmp_path, capsys):
+    # gen_ceva(80) resolves to 3*80^2 + 3*80 = 19,440 nodes: 100 tries need 1,944,000 checks
+    big = tmp_path / "ceva80.json"
+    assert main(["arrangement", "generate", "ceva", "80", "--out", str(big)]) == EXIT_OK
+    start = perf_counter()
+    code = main(["invariants", "--arrangement", str(big), "--p", "1000003", "--seed", "1"])
+    assert code == EXIT_BUDGET
+    assert perf_counter() - start < 0.5
+    assert "node checks" in capsys.readouterr().err
+    hesse = tmp_path / "hesse.json"
+    assert main(["arrangement", "generate", "ceva", "3", "--out", str(hesse)]) == EXIT_OK
+    assert main(["invariants", "--arrangement", str(hesse), "--p", "61169", "--seed", "1",
+                 "--max-tries", "500"]) == EXIT_OK

@@ -89,22 +89,26 @@ def test_count_asymptotic_leading_term():
     assert last < Fraction(1, 100)
 
 
-def test_count_budget_error():
+def test_count_budget_error(monkeypatch):
     sysd = pt.DiophSystem(10007, (pt.DiophBlock(("a", "b", "c"), (1, 2, 3)),))
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 1000)
     with pytest.raises(BudgetError):
-        pt.count_solutions(sysd, cell_budget=1000)
+        pt.count_solutions(sysd)
 
 
-def test_count_budget_counts_stored_levels():
+def test_count_budget_counts_stored_levels(monkeypatch):
     # (2,1,1,1,1) stores only the level before its all-ones tail: 1 x 1010 cells
     u = (2, 1, 1, 1, 1)
     sysd = pt.DiophSystem(1009, (pt.DiophBlock(tuple("abcde"), u),))
     expected = suffix_counts_full(u, 1009)[0][1009]
-    assert pt.count_solutions(sysd, cell_budget=1010) == expected
-    pt.validate_solution(sysd, pt.sample_uniform(sysd, 3, cell_budget=1010))
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 1010)
+    assert pt.count_solutions(sysd) == expected
+    pt.validate_solution(sysd, pt.sample_uniform(sysd, 3))
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 1009)
     with pytest.raises(BudgetError, match="1x1010 cells"):
-        pt.count_solutions(sysd, cell_budget=1009)
-    assert pt.count_solutions(_ones_system(1009, 4), cell_budget=0) == comb(1008, 3)
+        pt.count_solutions(sysd)
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 0)
+    assert pt.count_solutions(_ones_system(1009, 4)) == comb(1008, 3)
 
 
 PRIMES_2000 = primes_between(2, 2000)
@@ -134,7 +138,7 @@ def test_sample_block_matches_linear_scan_oracle(u, p, seed):
         return
     got, want = random.Random(seed), random.Random(seed)
     try:
-        parts = pt._sample_block(u, p, got, pt.DEFAULT_CELL_BUDGET)
+        parts = pt._sample_block(u, p, got)
     except EmptySolutionSetError:
         with pytest.raises(EmptySolutionSetError):
             dp_sample_block(u, p, want)
@@ -248,7 +252,7 @@ def test_exact_uniformity_chi_square_ones():
     rng = random.Random(17)
     counts = {o: 0 for o in outcomes}
     for _ in range(66_000):
-        sol = pt._sample(sysd, rng, pt.DEFAULT_CELL_BUDGET)
+        sol = pt._sample(sysd, rng)
         counts[tuple(sol.mu.values())] += 1
     stat = _chi_square_uniform(counts, 66_000, 66)
     assert stat <= chi2.ppf(1 - 1e-3, 65)
@@ -271,7 +275,7 @@ def test_exact_uniformity_chi_square_weighted():
     rng = random.Random(4321)
     counts = {s: 0 for s in solutions}
     for _ in range(draws):
-        sol = pt._sample(sysd, rng, pt.DEFAULT_CELL_BUDGET)
+        sol = pt._sample(sysd, rng)
         counts[tuple(sol.mu.values())] += 1
     stat = _chi_square_uniform(counts, draws, count)
     assert stat <= chi2.ppf(1 - 1e-3, count - 1)
@@ -394,6 +398,20 @@ def test_sample_good_exhausts_at_tiny_p():
         pt.sample_good(sysd, ra, seed=1, max_tries=8)
 
 
+def test_sample_good_budgets_tries_times_nodes(monkeypatch):
+    dh = ar.gen_ceva(3)
+    ra = ar.resolve(dh)
+    sysd = pt.system_for(dh, 61169)
+    assert len(ra.nodes) * 500 <= pt.MAX_SAMPLING_NODES  # the largest input in use
+    monkeypatch.setattr(pt, "MAX_SAMPLING_NODES", len(ra.nodes) * 100)
+    assert pt.sample_good(sysd, ra, seed=7, max_tries=100).tries >= 1
+    with pytest.raises(BudgetError, match="node checks"):
+        pt.sample_good(sysd, ra, seed=7, max_tries=101)
+    monkeypatch.setattr(pt, "MAX_SAMPLING_NODES", 0)
+    with pytest.raises(ValueError, match="max_tries"):  # checked first
+        pt.sample_good(sysd, ra, seed=7, max_tries=0)
+
+
 def test_empirical_bad_fraction_envelope():
     # union-bound envelope: 10 sqrt(p) log(4p) C(d+k, 2) / p, against the
     # observed bad fraction over 200 uniform draws (statistical, seeded)
@@ -407,7 +425,7 @@ def test_empirical_bad_fraction_envelope():
         rng = random.Random(2024)
         bad = 0
         for _ in range(200):
-            sol = pt._sample(sysd, rng, pt.DEFAULT_CELL_BUDGET)
+            sol = pt._sample(sysd, rng)
             try:
                 ma = pt.assign(ra, sol)
             except ExceptionalVanishes:
