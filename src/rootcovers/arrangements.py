@@ -217,7 +217,7 @@ def validate(a: Arrangement) -> CombinatorialData:
     if pairs > MAX_INCIDENT_PAIRS:
         raise BudgetError(f"{pairs} curve pairs on points; the budget is {MAX_INCIDENT_PAIRS}")
     t: Counter[int] = Counter()
-    pair_counts: Counter[tuple[int, int]] = Counter()
+    pair_counts: Counter[int] = Counter()  # line pair x < y keyed as x * d + y
     for pt in a.points:
         for cid in pt.curves:
             if cid not in index:
@@ -230,13 +230,14 @@ def validate(a: Arrangement) -> CombinatorialData:
                 "d-point", f"point {pt.curves} lies on all {a.d} curves"
             )
         t[n] += 1
-        for x, y in combinations(sorted(index[cid] for cid in pt.curves), 2):
-            pair_counts[(x, y)] += 1
+        if a.line_arrangement:
+            ids = sorted(index[cid] for cid in pt.curves)
+            pair_counts.update(x * a.d + y for x, y in combinations(ids, 2))
 
     if a.line_arrangement:
         # at most `pairs` pairs are found before a missing one raises
         for x, y in combinations(range(a.d), 2):
-            c = pair_counts.get((x, y), 0)
+            c = pair_counts.get(x * a.d + y, 0)
             if c != 1:
                 raise ValidationError(
                     "line-pairs",

@@ -9,9 +9,15 @@ resolution: proper transforms inherit their mu, each blow-up divisor gets
 the sum of the mu over its point, reduced mod p into (0, p).  Sampling is
 exactly uniform over all positive solutions (sequential conditional
 sampling: each part bisects the prefix-count identity of the suffix counts,
-O(k log p) per draw, and a table stores only the levels before a block's
-all-ones tail, whose counts are binomial), and a solution is "good" when
-none of its node residues p - nu_i' nu_j falls in the Farey bad set.
+O(k log p) per draw), and a solution is "good" when none of its node
+residues p - nu_i' nu_j falls in the Farey bad set.
+
+The suffix counts of the levels before a block's all-ones tail (whose
+counts are binomial) are Sylvester's denumerants: quasi-polynomials in the
+target with period lcm(u[j:]) (Sylvester 1857; E. T. Bell 1943).  Their
+integer coefficients are built once per weight vector, so nothing is
+tabulated up to p; only below sum(u) + lcm(u) len(u), where it is smaller,
+is the DP up to p stored instead (once per weight vector and p).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, factorial, gcd, lcm
 
 from .arrangements import Arrangement, ResolvedArrangement
 from .errors import (
@@ -53,7 +59,8 @@ __all__ = [
     "solution_from_text",
 ]
 
-# Most stored cells of one suffix-count table, and most node checks one
+# Most stored cells of one block's suffix counts (quasi-polynomial
+# coefficients, or the DP up to p below the switch), and most node checks one
 # sample_good call may make (max_tries x nodes; the largest input in the
 # tests, demos and benchmark is 500 tries x 36 nodes).
 MAX_SUFFIX_CELLS = 50_000_000
@@ -111,58 +118,153 @@ def _ones_tail(u: tuple[int, ...]) -> int:
     return max((i + 1 for i, w in enumerate(u) if w != 1), default=0)
 
 
-@lru_cache(maxsize=32)
-def _suffix_counts(u: tuple[int, ...], target: int) -> tuple[tuple[int, ...], ...]:
-    """S[j][t] = number of positive solutions of u_j x_j + ... + u_k x_k = t,
-    for the levels j < h before the all-ones tail u[h:] (see _ones_tail).
+@dataclass(frozen=True, slots=True)
+class _SuffixCount:
+    """S(t), the number of positive solutions of v . x = t, for the weights
+    v = u[j:] of one level.
 
-    Built back to front with S[j][t] = S[j+1][t - u_j] + S[j][t - u_j]
-    (take x_j = 1, or reduce x_j by one).  The tail's own counts are the
-    closed form C(t-1, k-h-1), so it stores nothing.
+    With s = t - sum(v), S(t) is the number D(s) of nonnegative solutions,
+    Sylvester's denumerant: on each class s = r + L n, L = lcm(v), it is a
+    polynomial in n of degree < k = len(v).  With `period` None, `table`
+    holds D(s) for every s up to the target; otherwise table[r] holds the
+    integer coefficients of (k-1)! D(r + L n) in n, highest degree first,
+    and `scale` is (k-1)!.
     """
-    k = len(u)
+
+    sigma: int
+    period: int | None
+    scale: int
+    table: tuple
+
+    @property
+    def cells(self) -> int:
+        width = 1 if self.period is None else len(self.table[0])
+        return len(self.table) * width
+
+    def count(self, t: int) -> int:
+        s = t - self.sigma
+        if s < 0:
+            return 0
+        if self.period is None:
+            return self.table[s]
+        n, r = divmod(s, self.period)
+        acc = 0
+        for c in self.table[r]:
+            acc = acc * n + c
+        return acc // self.scale
+
+
+def _nonneg_counts(u: tuple[int, ...], size: int):
+    """Yield (j, D_j) for j = h-1 down to 0, where D_j(s) for s < size is
+    the number of nonnegative solutions of u_j y_j + ... + u_k y_k = s.
+
+    One list, updated in place back to front with D_j(s) = D_j(s - u_j) +
+    D_{j+1}(s) from the all-ones tail's closed form C(s + k-h-1, k-h-1).
+    """
     h = _ones_tail(u)
-    levels: list[tuple[int, ...]] = [()] * h
-    nxt: list[int] = []
+    ones = len(u) - h
+    if ones:
+        D = [comb(s + ones - 1, ones - 1) for s in range(size)]
+    else:
+        D = [1] + [0] * (size - 1)
     for j in range(h - 1, -1, -1):
         w = u[j]
-        cur = [0] * (target + 1)
-        if j == k - 1:
-            for t in range(w, target + 1, w):
-                cur[t] = 1
-        elif j == h - 1:
-            for t in range(w + 1, target + 1):
-                cur[t] = cur[t - w] + comb(t - w - 1, k - h - 1)
-        else:
-            for t in range(w, target + 1):
-                cur[t] = cur[t - w] + nxt[t - w]
-        levels[j] = tuple(cur)
-        nxt = cur
+        for s in range(w, size):
+            D[s] += D[s - w]
+        yield j, D
+
+
+def _quasi_polynomial(sigma: int, period: int, k: int, D: list[int]) -> _SuffixCount:
+    """The coefficients of D(r + L n) for every r < L, from D(s) at s < L k.
+
+    Newton's forward differences in steps of L give D(r + L n) =
+    sum_i Delta^i D(r) C(n, i); (k-1)! C(n, i) is (k-1)!/i! times the
+    falling factorial n (n-1) ... (n-i+1), whose monomial coefficients are
+    integers, so every stored coefficient is an integer.
+    """
+    scale = factorial(k - 1)
+    coeffs = [[0] * period for _ in range(k)]  # coeffs[m][r] multiplies n^m
+    row = D[: period * k]
+    falling = [1]  # n (n-1) ... (n-i+1), lowest degree first
+    for i in range(k):
+        f = scale // factorial(i)
+        for m, a in enumerate(falling):
+            if a:
+                coeffs[m] = [c + f * a * d for c, d in zip(coeffs[m], row)]
+        row = [b - a for a, b in zip(row, row[period:])]
+        falling = [a - i * b for a, b in zip([0] + falling, falling + [0])]
+    return _SuffixCount(sigma, period, scale, tuple(zip(*reversed(coeffs))))
+
+
+@lru_cache(maxsize=32)
+def _level_shapes(u: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(sum(u[j:]), lcm(u[j:]), len(u[j:])) for each level j < h; cached
+    because _suffix_counts reads them on every draw."""
+    return tuple((sum(u[j:]), lcm(*u[j:]), len(u) - j) for j in range(_ones_tail(u)))
+
+
+@lru_cache(maxsize=32)
+def _quasi_polynomials(u: tuple[int, ...]) -> tuple[_SuffixCount, ...]:
+    """Every level's quasi-polynomial; they depend on the weights alone."""
+    shapes = _level_shapes(u)
+    levels: list = [None] * len(shapes)
+    for j, D in _nonneg_counts(u, shapes[0][1] * shapes[0][2]):
+        levels[j] = _quasi_polynomial(*shapes[j], D)
     return tuple(levels)
 
 
-def _suffix_table(u: tuple[int, ...], target: int):
-    """_suffix_counts(u, target), refused when its stored cells exceed MAX_SUFFIX_CELLS."""
-    h = _ones_tail(u)
-    if h * (target + 1) > MAX_SUFFIX_CELLS:
+@lru_cache(maxsize=32)
+def _dp_levels(u: tuple[int, ...], target: int) -> tuple[_SuffixCount, ...]:
+    """Every level's D_j up to the target, for targets below the switch."""
+    shapes = _level_shapes(u)
+    levels: list = [None] * len(shapes)
+    for j, D in _nonneg_counts(u, target - shapes[-1][0] + 1):
+        sigma = shapes[j][0]
+        levels[j] = _SuffixCount(sigma, None, 1, tuple(D[: target - sigma + 1]))
+    return tuple(levels)
+
+
+def _suffix_counts(u: tuple[int, ...], target: int) -> tuple[_SuffixCount, ...]:
+    """The counts S_j(t), t <= target, of the levels j < h before the
+    all-ones tail u[h:] (see _ones_tail; callers skip blocks with h = 0);
+    their stored cells are checked against MAX_SUFFIX_CELLS before anything
+    is built or read from a cache.
+
+    Level j, with weights u[j:], k_j of them and L_j = lcm(u[j:]), fixes
+    its quasi-polynomial from D_j(s) at s < L_j k_j and stores L_j k_j
+    coefficients, whatever the target; those are built once per weight
+    vector.  While the target is below the switch sum(u) + L_0 k_0, the DP
+    up to the target is smaller and is stored instead, one list per level,
+    once per weight vector and target.
+    """
+    shapes = _level_shapes(u)
+    sigma, period, k = shapes[0]
+    small = target - sigma < period * k
+    if small:
+        cells = sum(max(target - s + 1, 0) for s, _, _ in shapes)
+    else:
+        cells = sum(L * w for _, L, w in shapes)
+    if cells > MAX_SUFFIX_CELLS:
         raise BudgetError(
-            f"suffix table of {h}x{target + 1} cells exceeds the budget {MAX_SUFFIX_CELLS}"
+            f"suffix counts of {cells} cells exceed the budget {MAX_SUFFIX_CELLS}"
         )
-    return _suffix_counts(u, target) if h else ()
+    return _dp_levels(u, target) if small else _quasi_polynomials(u)
 
 
 def _block_count(block: DiophBlock, p: int) -> int:
     if p < sum(block.u):
         return 0
-    S = _suffix_table(block.u, p)
-    return S[0][p] if S else comb(p - 1, len(block.u) - 1)
+    if not _ones_tail(block.u):
+        return comb(p - 1, len(block.u) - 1)
+    return _suffix_counts(block.u, p)[0].count(p)
 
 
 def count_solutions(sys: DiophSystem) -> int:
     """Exact number of positive solutions (product over blocks).
 
-    All-ones blocks use the closed form C(p-1, k-1); other blocks read the
-    suffix-count table, whose stored cells are checked against MAX_SUFFIX_CELLS.
+    All-ones blocks use the closed form C(p-1, k-1); other blocks read their
+    suffix counts (_suffix_counts), whose stored cells are checked against
+    MAX_SUFFIX_CELLS.
     """
     total = 1
     for block in sys.blocks:
@@ -181,24 +283,25 @@ def _sample_block(u: tuple[int, ...], target: int, rng: random.Random) -> list[i
     recurrence S[j][t] = sum_{m >= 1} S[j+1][t - u_j m], the solutions with
     mu_j <= M number prefix(M) = S[j][rem] - S[j][rem - u_j M], so the part
     is the smallest M with prefix(M) > r, found by bisection over
-    [1, rem // u_j].  Levels before the all-ones tail read the suffix
-    table; the tail bisects the closed form C(rem-1, left-1) instead.
+    [1, rem // u_j].  Levels before the all-ones tail probe their suffix
+    counts (_suffix_counts: one divmod and k Horner steps per probe above
+    the DP switch); the tail bisects the closed form C(rem-1, left-1).
     """
     k = len(u)
-    S = _suffix_table(u, target)
-    h = len(S)
-    if h and S[0][target] == 0:
+    levels = _suffix_counts(u, target) if _ones_tail(u) else ()
+    h = len(levels)
+    if h and levels[0].count(target) == 0:
         raise EmptySolutionSetError(f"no positive solution of {u} . mu = {target}")
     parts = []
     rem = target
     for j in range(min(h, k - 1)):
-        Sj, w = S[j], u[j]
-        total = Sj[rem]
+        count, w = levels[j].count, u[j]
+        total = count(rem)
         r = rng.randrange(total)
         lo, hi = 1, rem // w
         while lo < hi:
             mid = (lo + hi) // 2
-            if total - Sj[rem - w * mid] > r:
+            if total - count(rem - w * mid) > r:
                 hi = mid
             else:
                 lo = mid + 1

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from rootcovers import arrangements as ar
 from rootcovers import covers as cv
 from rootcovers import partitions as pt
+from rootcovers.cli import EXIT_OK, main
 from rootcovers.errors import BudgetError, ConsistencyError, ExceptionalVanishes, NonIntegral
 from rootcovers.numth import FareyConfig, dedekind_fast, is_prime, ncf_length, primes_between
 
@@ -298,6 +300,39 @@ def test_weighted_block_cover_end_to_end():
             chi_o, scf_o = floor_sum_oracle(cv.CoverSpec(p, ra, pt.assign(ra, sol)))
             assert chi_o == rep.chi
             assert scf_o == rep.error_terms.scf
+
+
+@pytest.mark.parametrize("p", [40_000_003, 10**18 + 3])
+def test_weighted_block_cover_at_large_p_is_bounded(p):
+    # the weighted block's counts are quasi-polynomials in p, so nothing is
+    # tabulated up to p; the cache is cleared so that their build is measured
+    a = _conic_and_four_lines()
+    ra = ar.resolve(a)
+    sysd = pt.system_for(a, p)
+    pt._quasi_polynomials.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        good = pt.sample_good(sysd, ra, seed=1, max_tries=100)
+        rep = cv.report(cv.CoverSpec(p, ra, good.assignment))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pt.validate_solution(sysd, good.solution)
+    assert rep.good and 12 * rep.chi == rep.c1_sq + rep.c2
+    assert elapsed < 1.0
+    assert peak < 5_000_000
+
+
+def test_weighted_scan_at_1e8_runs(tmp_path):
+    path = tmp_path / "conic.json"
+    ar.save(_conic_and_four_lines(), str(path))
+    code = main([
+        "scan", "--arrangement", str(path), "--primes", "100000007",
+        "--samples", "2", "--seed", "1", "--out", str(tmp_path / "scan.csv"),
+    ])
+    assert code == EXIT_OK
 
 
 _ORACLE_ARRANGEMENTS = {

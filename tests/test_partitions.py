@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from time import perf_counter
 
 import pytest
@@ -90,25 +90,65 @@ def test_count_asymptotic_leading_term():
 
 
 def test_count_budget_error(monkeypatch):
-    sysd = pt.DiophSystem(10007, (pt.DiophBlock(("a", "b", "c"), (1, 2, 3)),))
+    # (7, 11, 13) stores lcm x k = 1001 x 3 quasi-polynomial coefficients at
+    # its first level alone, for every p from sum(u) + 3003 on
+    sysd = pt.DiophSystem(10007, (pt.DiophBlock(("a", "b", "c"), (7, 11, 13)),))
     monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 1000)
     with pytest.raises(BudgetError):
         pt.count_solutions(sysd)
 
 
 def test_count_budget_counts_stored_levels(monkeypatch):
-    # (2,1,1,1,1) stores only the level before its all-ones tail: 1 x 1010 cells
+    # (2,1,1,1,1) stores only the level before its all-ones tail: at 1009 its
+    # quasi-polynomial, lcm x k = 2 x 5 = 10 cells; below sum(u) + 10 = 16
+    # the DP up to p instead, 13 - 6 + 1 = 8 cells at 13
     u = (2, 1, 1, 1, 1)
     sysd = pt.DiophSystem(1009, (pt.DiophBlock(tuple("abcde"), u),))
     expected = suffix_counts_full(u, 1009)[0][1009]
-    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 1010)
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 10)
     assert pt.count_solutions(sysd) == expected
     pt.validate_solution(sysd, pt.sample_uniform(sysd, 3))
-    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 1009)
-    with pytest.raises(BudgetError, match="1x1010 cells"):
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 9)
+    with pytest.raises(BudgetError, match="of 10 cells"):
         pt.count_solutions(sysd)
+    small = pt.DiophSystem(13, (pt.DiophBlock(tuple("abcde"), u),))
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 8)
+    assert pt.count_solutions(small) == suffix_counts_full(u, 13)[0][13]
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 7)
+    with pytest.raises(BudgetError, match="of 8 cells"):
+        pt.count_solutions(small)
     monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 0)
     assert pt.count_solutions(_ones_system(1009, 4)) == comb(1008, 3)
+
+
+@pytest.mark.parametrize(
+    "u", [(2, 1, 1, 1, 1), (1, 2, 3), (3, 2), (2,), (5, 3, 2, 2, 1), (7, 4, 1)]
+)
+def test_suffix_counts_match_oracle_on_both_sides_of_the_switch(u):
+    # below sum(u) + lcm(u) len(u) every level stores the DP up to the
+    # target; from there on, quasi-polynomials that do not depend on it
+    full = suffix_counts_full(u, 3000)
+    switch = sum(u) + lcm(*u) * len(u)
+    for target, dp in ((switch - 1, True), (switch, False), (3000, False)):
+        levels = pt._suffix_counts(u, target)
+        assert len(levels) == pt._ones_tail(u)
+        for j, level in enumerate(levels):
+            assert (level.period is None) == dp, (target, j)
+            assert [level.count(t) for t in range(target + 1)] == full[j][: target + 1]
+
+
+def test_large_lcm_counts_and_samples_like_the_oracle():
+    # lcm x k = 716539 x 3 is far above p, so every level keeps the DP up to p
+    u, p = (97, 89, 83), 10007
+    levels = pt._suffix_counts(u, p)
+    assert all(level.period is None for level in levels)
+    block = pt.DiophBlock(("a", "b", "c"), u)
+    sysd = pt.DiophSystem(p, (block,))
+    assert pt.count_solutions(sysd) == suffix_counts_full(u, p)[0][p] > 0
+    for seed in range(20):
+        got, want = random.Random(seed), random.Random(seed)
+        assert pt._sample_block(u, p, got) == dp_sample_block(u, p, want)
+        assert got.random() == want.random()
 
 
 PRIMES_2000 = primes_between(2, 2000)
@@ -191,7 +231,11 @@ def test_count_matches_brute_enumeration(u, p):
 def test_weighted_sampler_scales_with_log_p():
     u = (2, 1, 1, 1, 1)
     p = 300007
-    assert len(pt._suffix_counts(u, p)) == 1
+
+    def stored_cells(target):
+        return sum(level.cells for level in pt._suffix_counts(u, target))
+
+    assert stored_cells(p) == stored_cells(10**18 + 3)
     sysd = pt.DiophSystem(p, (pt.DiophBlock(tuple("abcde"), u),))
     start = perf_counter()
     for seed in range(100):
