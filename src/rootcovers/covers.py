@@ -28,7 +28,7 @@ from .arrangements import (
     log_chern_resolved,
     resolve,
 )
-from .errors import ConsistencyError, ExhaustedTries, NonIntegral
+from .errors import BudgetError, ConsistencyError, ExhaustedTries, NonIntegral
 from .numth import (
     DEFAULT_FAREY,
     FareyConfig,
@@ -232,6 +232,12 @@ def report(spec: CoverSpec) -> ChernReport:
 # ---------------------------------------------------------------------------
 # Convergence experiments
 
+# Most samples (primes x samples per prime) one convergence_scan may hold.
+# On dual Hesse at 1000003 a sample costs about 1.8 ms and 9.5 KB (scans of
+# 2,000 and 6,000 samples on a 2-core x86-64 host with Python 3.11), so the
+# largest accepted scan takes about 55 s and 300 MB.
+MAX_SCAN_SAMPLES = 30_000
+
 
 @dataclass(frozen=True)
 class ScanSample:
@@ -285,10 +291,18 @@ def convergence_scan(
 
     Deterministic in `seed`: sample k at prime p uses the derived seed
     (seed * 1000003 + p) * 1000003 + k.  A prime where sampling exhausts
-    its tries is skipped with a record.
+    its tries is skipped with a record.  More than MAX_SCAN_SAMPLES samples
+    in all are refused before the first draw.
     """
     if samples_per_prime < 1:
         raise ValueError(f"need at least 1 sample per prime, got {samples_per_prime}")
+    primes = list(primes)
+    total = len(primes) * samples_per_prime
+    if total > MAX_SCAN_SAMPLES:
+        raise BudgetError(
+            f"{len(primes)} primes x {samples_per_prime} samples = {total} samples; "
+            f"the budget is {MAX_SCAN_SAMPLES}"
+        )
     lc = log_chern_direct(arrangement)
     if lc.c2bar == 0:
         raise ValueError("the log Chern ratio is undefined (c2bar = 0)")

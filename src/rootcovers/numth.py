@@ -240,13 +240,16 @@ def dedekind_fast(q: int, p: int) -> Fraction:
 
     f(a, b) = 12b s(a, b) is an integer, and reciprocity gives the exact step
     f(a, b) = (a^2 + b^2 + 1 - 3ab - b f(b mod a, a)) / a, taken back up the
-    Euclid chain of (q, p) from f(0, 1) = 0; a remainder is an internal error.
+    Euclid chain of (q, p) from f(0, 1) = 0; a chain that ends at
+    gcd(q, p) > 1 is bad input, and a remainder is an internal error.
     """
     _check_residue(q, p)
     chain, a, b = [], q, p
     while a:
         chain.append((a, b))
         a, b = b % a, a
+    if b != 1:
+        raise ValueError(f"need gcd(q, p) = 1, got gcd({q}, {p}) = {b}")
     f = 0
     for a, b in reversed(chain):
         f, rem = divmod(a * (a - 3 * b) + b * (b - f) + 1, a)

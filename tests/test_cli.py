@@ -570,3 +570,46 @@ def test_sampling_budget_refuses_tries_times_nodes_at_once(tmp_path, capsys):
     assert main(["arrangement", "generate", "ceva", "3", "--out", str(hesse)]) == EXIT_OK
     assert main(["invariants", "--arrangement", str(hesse), "--p", "61169", "--seed", "1",
                  "--max-tries", "500"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("values", [("2", "4"), ("6", "9")])
+def test_dedekind_of_non_coprime_input_is_a_validation_error(values, capsys):
+    assert main(["numth", "dedekind", *values]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "gcd" in err and "internal error" not in err
+
+
+def test_dedekind_of_coprime_non_prime_modulus_runs(capsys):
+    assert main(["numth", "dedekind", "3", "10"]) == EXIT_OK
+    assert capsys.readouterr().out.count("= 0/1") == 3
+
+
+@pytest.mark.parametrize("p", ["10007", "1000003"])
+def test_suffix_cell_budget_refuses_a_large_lcm_block_at_once(p, tmp_path, capsys):
+    # three lines with u = (229, 227, 223): lcm(u) len(u) alone is 34,776,627 cells
+    path = tmp_path / "weighted.json"
+    curves = tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, w) for i, w in enumerate((229, 227, 223)))
+    points = tuple(ar.PointDecl(pair) for pair in (("L0", "L1"), ("L0", "L2"), ("L1", "L2")))
+    ar.save(ar.Arrangement(ar.P2, 1, curves, points), str(path))
+    start = perf_counter()
+    code = main(["invariants", "--arrangement", str(path), "--p", p, "--seed", "1"])
+    assert code == EXIT_BUDGET
+    assert perf_counter() - start < 0.5
+    assert "suffix counts of 34878092 cells" in capsys.readouterr().err
+
+
+def test_scan_budget_refuses_primes_times_samples_before_sampling(
+    dual_hesse_file, monkeypatch, capsys
+):
+    start = perf_counter()
+    code = main(["scan", "--arrangement", dual_hesse_file, "--primes", "10103,61169",
+                 "--samples", str(cv.MAX_SCAN_SAMPLES // 2 + 1), "--seed", "1"])
+    assert code == EXIT_BUDGET
+    assert perf_counter() - start < 0.5
+    assert "samples; the budget is" in capsys.readouterr().err
+    monkeypatch.setattr(cv, "MAX_SCAN_SAMPLES", 4)
+    argv = ["scan", "--arrangement", dual_hesse_file, "--primes", "10103,61169",
+            "--seed", "1", "--samples"]
+    assert main([*argv, "2"]) == EXIT_OK
+    assert main([*argv, "3"]) == EXIT_BUDGET
+    capsys.readouterr()

@@ -99,24 +99,29 @@ def test_count_budget_error(monkeypatch):
 
 
 def test_count_budget_counts_stored_levels(monkeypatch):
-    # (2,1,1,1,1) stores only the level before its all-ones tail: at 1009 its
-    # quasi-polynomial, lcm x k = 2 x 5 = 10 cells; below sum(u) + 10 = 16
-    # the DP up to p instead, 13 - 6 + 1 = 8 cells at 13
+    # (2,1,1,1,1) stores only the level before its all-ones tail, its
+    # quasi-polynomial of lcm x k = 2 x 5 = 10 cells, at every p; the budget
+    # is checked when they are built, so the cache is cleared before each change
     u = (2, 1, 1, 1, 1)
     sysd = pt.DiophSystem(1009, (pt.DiophBlock(tuple("abcde"), u),))
     expected = suffix_counts_full(u, 1009)[0][1009]
+    pt._quasi_polynomials.cache_clear()
     monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 10)
     assert pt.count_solutions(sysd) == expected
     pt.validate_solution(sysd, pt.sample_uniform(sysd, 3))
+    pt._quasi_polynomials.cache_clear()
     monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 9)
     with pytest.raises(BudgetError, match="of 10 cells"):
         pt.count_solutions(sysd)
     small = pt.DiophSystem(13, (pt.DiophBlock(tuple("abcde"), u),))
-    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 8)
+    pt._quasi_polynomials.cache_clear()
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 10)
     assert pt.count_solutions(small) == suffix_counts_full(u, 13)[0][13]
-    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 7)
-    with pytest.raises(BudgetError, match="of 8 cells"):
+    pt._quasi_polynomials.cache_clear()
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 9)
+    with pytest.raises(BudgetError, match="of 10 cells"):
         pt.count_solutions(small)
+    pt._quasi_polynomials.cache_clear()
     monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 0)
     assert pt.count_solutions(_ones_system(1009, 4)) == comb(1008, 3)
 
@@ -125,23 +130,21 @@ def test_count_budget_counts_stored_levels(monkeypatch):
     "u", [(2, 1, 1, 1, 1), (1, 2, 3), (3, 2), (2,), (5, 3, 2, 2, 1), (7, 4, 1)]
 )
 def test_suffix_counts_match_oracle_on_both_sides_of_the_switch(u):
-    # below sum(u) + lcm(u) len(u) every level stores the DP up to the
-    # target; from there on, quasi-polynomials that do not depend on it
+    # the quasi-polynomials are exact at every target: below
+    # sum(u) + lcm(u) len(u), inside the range they are fitted on, and above it
     full = suffix_counts_full(u, 3000)
     switch = sum(u) + lcm(*u) * len(u)
-    for target, dp in ((switch - 1, True), (switch, False), (3000, False)):
+    for target in (switch - 1, switch, 3000):
         levels = pt._suffix_counts(u, target)
         assert len(levels) == pt._ones_tail(u)
         for j, level in enumerate(levels):
-            assert (level.period is None) == dp, (target, j)
             assert [level.count(t) for t in range(target + 1)] == full[j][: target + 1]
 
 
 def test_large_lcm_counts_and_samples_like_the_oracle():
-    # lcm x k = 716539 x 3 is far above p, so every level keeps the DP up to p
+    # lcm x k = 716539 x 3 is far above p; the quasi-polynomials still give
+    # every count below their period
     u, p = (97, 89, 83), 10007
-    levels = pt._suffix_counts(u, p)
-    assert all(level.period is None for level in levels)
     block = pt.DiophBlock(("a", "b", "c"), u)
     sysd = pt.DiophSystem(p, (block,))
     assert pt.count_solutions(sysd) == suffix_counts_full(u, p)[0][p] > 0
@@ -149,6 +152,44 @@ def test_large_lcm_counts_and_samples_like_the_oracle():
         got, want = random.Random(seed), random.Random(seed)
         assert pt._sample_block(u, p, got) == dp_sample_block(u, p, want)
         assert got.random() == want.random()
+    pt._quasi_polynomials.cache_clear()  # 2,164,474 cells need not outlive the test
+
+
+def test_quasi_polynomials_are_built_once_per_weight_vector(monkeypatch):
+    # count_solutions and sample_good at three primes share one build of each
+    # level; a vector over the budget is refused before any level is built
+    built = []
+    real = pt._quasi_polynomial
+
+    def counted(*args):
+        built.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(pt, "_quasi_polynomial", counted)
+    pt._quasi_polynomials.cache_clear()
+    # a conic (u = 2) through two points of each of four general lines
+    curves = (ar.CurveDecl("Q", 0, 4, 1, 2),) + tuple(
+        ar.CurveDecl(f"L{i}", 0, 1, 1, 1) for i in range(4)
+    )
+    pairs = [("Q", f"L{i}") for i in range(4) for _ in range(2)]
+    pairs += [(f"L{i}", f"L{j}") for i in range(4) for j in range(i + 1, 4)]
+    a = ar.Arrangement(ar.P2, 1, curves, tuple(ar.PointDecl(pair) for pair in pairs))
+    ra = ar.resolve(a)
+    for p in (1009, 10007, 100003):
+        sysd = pt.system_for(a, p)
+        assert pt.count_solutions(sysd) == suffix_counts_full((2, 1, 1, 1, 1), p)[0][p]
+        pt.validate_solution(sysd, pt.sample_good(sysd, ra, seed=p).solution)
+    assert built == [(6, 2, 5)]
+    built.clear()
+    u = (7, 11, 13)
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 3301)
+    with pytest.raises(BudgetError, match="of 3302 cells"):
+        pt._suffix_counts(u, 10007)
+    assert built == []
+    monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 3302)
+    pt._suffix_counts(u, 10007)
+    assert built == [(13, 13, 1), (24, 143, 2), (31, 1001, 3)]
+    pt._quasi_polynomials.cache_clear()
 
 
 PRIMES_2000 = primes_between(2, 2000)
