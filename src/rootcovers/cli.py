@@ -335,8 +335,7 @@ def _cmd_scan(args) -> int:
         )
     for p, reason in result.skipped:
         summary.append(f"p={p} skipped: {reason}")
-    if args.out:
-        sys.stdout.write("\n".join(summary) + "\n")
+    (sys.stdout if args.out else sys.stderr).write("\n".join(summary) + "\n")
     return EXIT_OK
 
 

@@ -237,6 +237,14 @@ def report(spec: CoverSpec) -> ChernReport:
 # 2,000 and 6,000 samples on a 2-core x86-64 host with Python 3.11), so the
 # largest accepted scan takes about 55 s and 300 MB.
 MAX_SCAN_SAMPLES = 30_000
+# Most node checks (primes x max_tries x nodes) one convergence_scan may
+# spend when every prime exhausts its tries and is skipped.  Such scans just
+# under the bound took 59 s and 29 MB for gen_ceva(80) at four primes near
+# 1e6 (51 tries each, about 15 us a check) and 19 s for dual Hesse at primes
+# 11-100 (5,291 tries each, about 4.6 us a check), on a 2-core x86-64 host
+# with Python 3.11.  A check costs more at larger p, where each draw works
+# on bigger integers.
+MAX_SCAN_NODE_CHECKS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -292,7 +300,8 @@ def convergence_scan(
     Deterministic in `seed`: sample k at prime p uses the derived seed
     (seed * 1000003 + p) * 1000003 + k.  A prime where sampling exhausts
     its tries is skipped with a record.  More than MAX_SCAN_SAMPLES samples
-    in all are refused before the first draw.
+    in all, or more than MAX_SCAN_NODE_CHECKS node checks over the tries of
+    every prime, are refused before the first draw.
     """
     if samples_per_prime < 1:
         raise ValueError(f"need at least 1 sample per prime, got {samples_per_prime}")
@@ -303,11 +312,17 @@ def convergence_scan(
             f"{len(primes)} primes x {samples_per_prime} samples = {total} samples; "
             f"the budget is {MAX_SCAN_SAMPLES}"
         )
+    resolved = resolve(arrangement)
+    checks = len(primes) * max_tries * len(resolved.nodes)
+    if checks > MAX_SCAN_NODE_CHECKS:
+        raise BudgetError(
+            f"{len(primes)} primes x {max_tries} tries x {len(resolved.nodes)} nodes = "
+            f"{checks} node checks; the budget is {MAX_SCAN_NODE_CHECKS}"
+        )
     lc = log_chern_direct(arrangement)
     if lc.c2bar == 0:
         raise ValueError("the log Chern ratio is undefined (c2bar = 0)")
     log_ratio = lc.ratio
-    resolved = resolve(arrangement)
     samples: list[ScanSample] = []
     summaries: list[ScanSummary] = []
     skipped: list[tuple[int, str]] = []

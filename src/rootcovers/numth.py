@@ -2,10 +2,10 @@
 
 Negative-regular continued fractions, Dedekind sums (three independent
 algorithms), regular continued-fraction totals, and the Farey bad set.
-NCF length and sum, regular totals and Farey membership all come from one
-O(log p) Euclid pass over p/q (`_quotients`); the whole bad set is the
-images r * d^-1 mod p, O(C sqrt(p) log p + sqrt(p)).  Everything is exact:
-Python integers and `Fraction`, no floating point; sqrt(p) bounds are
+NCF length and sum and regular totals read the quotients of one O(log p)
+Euclid pass over p/q (`_quotients`), Farey membership its remainders; the bad
+set is the images r * d^-1 mod p, O(C sqrt(p) log p + sqrt(p)).  Everything is
+exact: Python integers and `Fraction`, no floating point; sqrt(p) bounds are
 squared and log(p) bounds go through a rational enclosure of the logarithm.
 
 Conventions
@@ -309,20 +309,19 @@ def is_farey_neighbour(q: int, p: int, config: FareyConfig = DEFAULT_FAREY) -> b
       Legendre's theorem every hit c/d is a convergent of q/p;
     - p <= 4C^2: every q is within C*sqrt(p) of 0 or p, and the first
       convergent catches it: 0/1 if q <= p/2, 1/1 if q > p/2 (a_1 = 1).
-    |q d - p c| * d * denom(C) <= num(C) * sqrt(p) is decided exactly, squared.
+    |q d_k - p c_k| = r_k, the Euclid remainder of p/q at convergent k, so r d denom(C)
+    <= num(C) sqrt(p) is decided exactly, squared; r = 0 hits before any division by 0.
     """
     if not 0 <= q < p:
         raise ValueError(f"need 0 <= q < p, got q={q}, p={p}")
-    cn, cd = config.C.numerator, config.C.denominator
-    rhs = cn * cn * p
-    c, d, c_prev, d_prev = 1, 0, 0, 1  # the walk opens with 0/1
-    for a in [0] + _quotients(q, p):
-        c, d, c_prev, d_prev = a * c + c_prev, a * d + d_prev, c, d
-        if d * d > p:
-            return False
-        lhs = abs(q * d - p * c) * d * cd
+    cd, rhs = config.C.denominator, config.C.numerator ** 2 * p
+    r_prev, r, d_prev, d = p, q, 0, 1  # the walk opens with 0/1 at distance q
+    while d * d <= p:
+        lhs = r * d * cd
         if lhs * lhs <= rhs:
             return True
+        a = r_prev // r
+        r_prev, r, d_prev, d = r, r_prev - a * r, d, a * d + d_prev
     return False
 
 

@@ -16,6 +16,7 @@ from rootcovers.numth import (
     DEFAULT_FAREY,
     FareyConfig,
     _ncf_stats,
+    _quotients,
     is_farey_neighbour,
     lt_sqrt_bound,
 )
@@ -209,6 +210,23 @@ def fraction_report(spec: CoverSpec) -> dict:
         "good": not offending, "offending": offending,
         "bounds_ok": bounds_ok, "n_nodes": n,
     }
+
+
+def farey_convergent_walk(q: int, p: int, config: FareyConfig = DEFAULT_FAREY) -> bool:
+    """Farey membership by the convergents c/d of q/p themselves: numerators
+    and denominators from the Euclid quotients, |q d - p c| recomputed at
+    each step, stopping at the first d with d^2 > p."""
+    cn, cd = config.C.numerator, config.C.denominator
+    rhs = cn * cn * p
+    c, d, c_prev, d_prev = 1, 0, 0, 1  # the walk opens with 0/1
+    for a in [0] + _quotients(q, p):
+        c, d, c_prev, d_prev = a * c + c_prev, a * d + d_prev, c, d
+        if d * d > p:
+            return False
+        lhs = abs(q * d - p * c) * d * cd
+        if lhs * lhs <= rhs:
+            return True
+    return False
 
 
 def bad_set_enumeration(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:

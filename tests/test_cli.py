@@ -613,3 +613,35 @@ def test_scan_budget_refuses_primes_times_samples_before_sampling(
     assert main([*argv, "2"]) == EXIT_OK
     assert main([*argv, "3"]) == EXIT_BUDGET
     capsys.readouterr()
+
+
+def test_scan_node_check_budget_bounds_the_tries_of_skipped_primes(
+    dual_hesse_file, monkeypatch, capsys
+):
+    # primes 11-100 are 21 primes, dual Hesse resolves to 36 nodes, and every
+    # prime is skipped: each spends all its tries
+    argv = ["scan", "--arrangement", dual_hesse_file, "--primes", "11-100", "--samples", "1",
+            "--seed", "1", "--max-tries"]
+    start = perf_counter()
+    assert main([*argv, str(cv.MAX_SCAN_NODE_CHECKS // (21 * 36) + 1)]) == EXIT_BUDGET
+    assert perf_counter() - start < 0.5
+    assert "21 primes x" in capsys.readouterr().err
+    monkeypatch.setattr(cv, "MAX_SCAN_NODE_CHECKS", 21 * 36 * 5)
+    assert main([*argv, "5"]) == EXIT_OK
+    assert "p=97 skipped" in capsys.readouterr().err
+    assert main([*argv, "6"]) == EXIT_BUDGET
+    assert "node checks; the budget is 3780" in capsys.readouterr().err
+
+
+def test_scan_without_out_writes_its_summary_to_stderr(dual_hesse_file, tmp_path, capsys):
+    argv = ["scan", "--arrangement", dual_hesse_file, "--primes", "97-102,10103",
+            "--samples", "1", "--seed", "3", "--max-tries", "4"]
+    assert main(argv) == EXIT_OK
+    streamed = capsys.readouterr()
+    path = tmp_path / "s.csv"
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    written = capsys.readouterr()
+    assert streamed.err == written.out
+    assert "p=97 skipped" in streamed.err and "p=101 skipped" in streamed.err
+    manifest_out = f"# manifest out={path}\n"
+    assert streamed.out == path.read_text().replace(manifest_out, "")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rootcovers import numth as nt
 from rootcovers.errors import BudgetError
 
-from oracles import bad_set_enumeration, ncf_convergents
+from oracles import bad_set_enumeration, farey_convergent_walk, ncf_convergents
 
 PRIMES_200 = nt.primes_between(3, 200)
 
@@ -268,6 +268,20 @@ def test_farey_scale_dependence():
     assert nt.is_farey_neighbour(0, 101, tight)  # q = 0 is the point 0/1
 
 
+FAREY_SCALES = [Fraction(1, 1000), Fraction(1, 7), Fraction(1), Fraction(3, 2), Fraction(10),
+                Fraction(50)]
+
+
+@pytest.mark.parametrize("C", FAREY_SCALES, ids=str)
+def test_farey_remainder_walk_matches_convergent_walk_on_every_residue(C):
+    # every 0 <= q < p for p < 700, composites included; the regime p <= 4C^2
+    # holds for p <= 9 at C = 3/2, p <= 400 at C = 10 and every p at C = 50
+    config = nt.FareyConfig(C)
+    for p in range(1, 700):
+        for q in range(p):
+            assert nt.is_farey_neighbour(q, p, config) == farey_convergent_walk(q, p, config)
+
+
 @pytest.mark.parametrize(
     "p, C",
     [
@@ -413,3 +427,20 @@ def test_property_ncf_stats_inverse_symmetric(pq):
 def test_property_farey_reflection_symmetric(pq):
     p, q = pq
     assert nt.is_farey_neighbour(q, p) == nt.is_farey_neighbour(p - q, p)
+
+
+@st.composite
+def _large_prime_residue_scale(draw):
+    # primes near 1e12, 1e18 and 3e24, all below is_prime's witness bound
+    base = draw(st.sampled_from((10**12, 10**18, 3 * 10**24)))
+    p = _next_prime(base + draw(st.integers(0, 10**6)))
+    C = draw(st.fractions(Fraction(1, 1000), Fraction(50), max_denominator=1000))
+    return p, draw(st.integers(2, p - 2)), nt.FareyConfig(C)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_large_prime_residue_scale())
+def test_property_farey_remainder_walk_matches_convergent_walk(pqc):
+    p, q, config = pqc
+    for r in (0, 1, p - 1, q):
+        assert nt.is_farey_neighbour(r, p, config) == farey_convergent_walk(r, p, config)
