@@ -239,11 +239,13 @@ def report(spec: CoverSpec) -> ChernReport:
 MAX_SCAN_SAMPLES = 30_000
 # Most node checks (primes x max_tries x nodes) one convergence_scan may
 # spend when every prime exhausts its tries and is skipped.  Such scans just
-# under the bound took 59 s and 29 MB for gen_ceva(80) at four primes near
-# 1e6 (51 tries each, about 15 us a check) and 19 s for dual Hesse at primes
-# 11-100 (5,291 tries each, about 4.6 us a check), on a 2-core x86-64 host
-# with Python 3.11.  A check costs more at larger p, where each draw works
-# on bigger integers.
+# under the bound take 5.0 s and 25 MB for gen_ceva(80) at four primes near
+# 1e6 (51 tries each, about 1.3 us a check) and 4.7 s for dual Hesse at
+# primes 11-100 (5,291 tries each, about 1.2 us a check), on a 2-core x86-64
+# host with Python 3.11: a rejected try stops at its first Farey hit.  The
+# bound stays a worst case, since an accepted try checks every node (about
+# 3.6 us a node for gen_ceva(80) at 1000003, 13 us for dual Hesse at
+# 3e24+7, where each draw works on bigger integers).
 MAX_SCAN_NODE_CHECKS = 4_000_000
 
 

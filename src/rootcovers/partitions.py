@@ -8,9 +8,12 @@ and a solution assigns multiplicities to every divisor of the log
 resolution: proper transforms inherit their mu, each blow-up divisor gets
 the sum of the mu over its point, reduced mod p into (0, p).  Sampling is
 exactly uniform over all positive solutions (sequential conditional
-sampling: each part bisects the prefix-count identity of the suffix counts,
-O(k log p) per draw), and a solution is "good" when none of its node
-residues p - nu_i' nu_j falls in the Farey bad set.
+sampling: a part before the block's all-ones tail bisects the prefix-count
+identity of the suffix counts, O(log p) probes, and a part of the tail
+inverts one binomial with an integer root and a few exact ratio steps),
+and a solution is "good" when none of its node residues p - nu_i' nu_j
+falls in the Farey bad set.  The rejection sampler stops a try at its
+first node in the bad set.
 
 The suffix counts of the levels before a block's all-ones tail (whose
 counts are binomial) are Sylvester's denumerants: quasi-polynomials in the
@@ -64,6 +67,12 @@ __all__ = [
 # in the tests, demos and benchmark is 500 tries x 36 nodes).  A build costs
 # about 0.8 us and 120 B per cell: (101, 97, 83), 2,455,578 cells, takes
 # about 2 s and 300 MB peak RSS on a 2-core x86-64 host with Python 3.11.
+# The node bound is the worst case, in which every try checks every node,
+# as an accepted try does: about 3.6 us a node for gen_ceva(80) and 4 us for
+# pg2(7) at 1000003, 13 us for dual Hesse at 3e24+7 (draw and assign
+# included).  A rejected try stops at its first Farey hit: 10 rejected
+# tries of gen_ceva(80) at 1000003 take 0.21 s, and one rejected dual-Hesse
+# try at 3e24+7 with C = 10^11 takes about 90 us, on the same host.
 MAX_SUFFIX_CELLS = 2_500_000
 MAX_SAMPLING_NODES = 1_000_000
 
@@ -242,16 +251,78 @@ def count_solutions(sys: DiophSystem) -> int:
 # Exact-uniform sampling
 
 
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for x >= 0 and k >= 1, in integers alone.
+
+    Newton's step r -> ((k-1) r + x // r^(k-1)) // k never goes below the
+    floor root from above, and stops there.  It starts from (y + 1) 2^s,
+    where y is the root of x >> ks and s is about half the root's bits, so
+    the start is an upper bound that already has half the bits right; a
+    root below 64 starts from 2^ceil(bits / k) instead.
+    """
+    if k == 1 or x < 2:
+        return x
+    b = x.bit_length()
+    s = b // (2 * k)
+    r = (_iroot(x >> (k * s), k) + 1) << s if s > 2 else 1 << -(-b // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
+
+
+def _draw_ones(rem: int, ones: int, rng: random.Random) -> list[int]:
+    """Uniform positive solution of x_1 + ... + x_ones = rem, one part at a time.
+
+    With k + 1 parts left there are C(rem-1, k) solutions, and those whose
+    next part exceeds M number C(rem-1-M, k).  For r = randrange of that
+    total, the part is the smallest M with C(rem-1-M, k) < T = total - r,
+    so it is rem-1-n for the largest n with C(n, k) < T.  Since C(n, k) is
+    about (n - (k-1)/2)^k / k!, n starts at the integer k-th root of T k!
+    plus (k-1)//2, and exact ratio steps C(n-1, k) = C(n, k) (n-k) / n and
+    C(n+1, k) = C(n, k) (n+1) / (n+1-k) correct it (C(k, k) = 1 is taken
+    as it is: its ratio would divide by zero).  The next total C(n, k-1) is
+    one more ratio step, or 1 at n = k-1.  So math.comb runs once per part:
+    for the first total, and at the start of each drawn part's steps.
+    """
+    parts = []
+    k = ones - 1
+    total = comb(rem - 1, k)
+    k_fact = factorial(k)
+    while k:
+        T = total - rng.randrange(total)
+        n = max(k - 1, _iroot(T * k_fact, k) + (k - 1) // 2)
+        c = comb(n, k)
+        if c >= T:
+            while c >= T:
+                c = c * (n - k) // n
+                n -= 1
+        else:
+            while True:
+                up = c * (n + 1) // (n + 1 - k) if n >= k else 1
+                if up >= T:
+                    break
+                n, c = n + 1, up
+        parts.append(rem - 1 - n)
+        rem = n + 1
+        total = c * k // (n + 1 - k) if n >= k else 1
+        k_fact //= k
+        k -= 1
+    parts.append(rem)
+    return parts
+
+
 def _sample_block(u: tuple[int, ...], target: int, rng: random.Random) -> list[int]:
     """Uniform positive solution of u . mu = target, one part at a time.
 
     Part j is drawn from its exact marginal with one randrange: by the
     recurrence S[j][t] = sum_{m >= 1} S[j+1][t - u_j m], the solutions with
     mu_j <= M number prefix(M) = S[j][rem] - S[j][rem - u_j M], so the part
-    is the smallest M with prefix(M) > r, found by bisection over
-    [1, rem // u_j].  Levels before the all-ones tail probe their suffix
-    counts (_suffix_counts: one divmod, k Horner steps and one exact
-    division per probe); the tail bisects the closed form C(rem-1, left-1).
+    is the smallest M with prefix(M) > r.  Levels before the all-ones tail
+    find it by bisection over [1, rem // u_j], probing their suffix counts
+    (_suffix_counts: one divmod, k Horner steps and one exact division per
+    probe); the tail inverts its binomial counts directly (_draw_ones).
     """
     k = len(u)
     levels = _suffix_counts(u, target) if _ones_tail(u) else ()
@@ -273,18 +344,8 @@ def _sample_block(u: tuple[int, ...], target: int, rng: random.Random) -> list[i
                 lo = mid + 1
         parts.append(lo)
         rem -= w * lo
-    for left in range(k - h, 1, -1):
-        total = comb(rem - 1, left - 1)
-        r = rng.randrange(total)
-        lo, hi = 1, rem - (left - 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if total - comb(rem - mid - 1, left - 1) > r:
-                hi = mid
-            else:
-                lo = mid + 1
-        parts.append(lo)
-        rem -= lo
+    if h < k:
+        return parts + _draw_ones(rem, k - h, rng)
     if rem % u[-1] or rem < u[-1]:
         raise AssertionError("remainder not attainable; counts inconsistent")
     parts.append(rem // u[-1])
@@ -418,21 +479,27 @@ class NodeResidue:
     count: int
 
 
+def _node_table(resolved: ResolvedArrangement, ma: MultiplicityAssignment):
+    """Yield the NodeResidue of each intersecting divisor pair, lazily, in
+    node_residues order.  The pairs come sorted by (i, j), so each divisor's
+    inverse nu_i' is computed once, when its first node comes up."""
+    p, nu = ma.p, ma.nu
+    divisors = resolved.divisors
+    last = None
+    for (i, j), count in sorted(resolved.nodes.items()):
+        if i != last:
+            last, inverse = i, pow(nu[divisors[i].id], -1, p)
+        q = p - inverse * nu[divisors[j].id] % p
+        yield NodeResidue((divisors[i].id, divisors[j].id), q, count)
+
+
 def node_residues(
     resolved: ResolvedArrangement, ma: MultiplicityAssignment
 ) -> list[NodeResidue]:
     """q = p - nu_i' nu_j for every intersecting divisor pair, i < j in
     divisor order.  Swapping the orientation replaces q by its inverse mod
     p, which leaves every downstream quantity unchanged."""
-    p = ma.p
-    out = []
-    divisors = resolved.divisors
-    for (i, j), count in sorted(resolved.nodes.items()):
-        ni = ma.nu[divisors[i].id]
-        nj = ma.nu[divisors[j].id]
-        q = p - pow(ni, -1, p) * nj % p
-        out.append(NodeResidue((divisors[i].id, divisors[j].id), q, count))
-    return out
+    return list(_node_table(resolved, ma))
 
 
 @dataclass(frozen=True)
@@ -455,6 +522,17 @@ def is_good(
     return GoodnessReport(not offending, offending, nodes)
 
 
+def _all_nodes_good(
+    resolved: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig
+) -> bool:
+    """is_good(resolved, ma, config).good without the table: False at the
+    first node whose residue is a Farey neighbour, before the nodes after
+    it are built or tested."""
+    p = ma.p
+    nodes = _node_table(resolved, ma)
+    return not any(is_farey_neighbour(node.q, p, config) for node in nodes)
+
+
 @dataclass(frozen=True)
 class GoodSample:
     solution: PartitionSolution
@@ -474,8 +552,10 @@ def sample_good(
     Solutions whose blow-up multiplicity vanishes mod p count as bad tries.
     The try count is an empirical estimate of the bad fraction.  For
     parallel work, split seeds as seed + worker index; a single call is
-    fully deterministic in `seed`.  Each try checks every node, so
-    max_tries x nodes above MAX_SAMPLING_NODES is refused before the first draw.
+    fully deterministic in `seed`.  A try stops at its first node in the
+    bad set (_all_nodes_good), so only an accepted try checks every node;
+    max_tries x nodes above MAX_SAMPLING_NODES, the worst case, is refused
+    before the first draw.
     """
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
@@ -492,7 +572,7 @@ def sample_good(
             ma = assign(resolved, sol)
         except ExceptionalVanishes:
             continue
-        if is_good(resolved, ma, config).good:
+        if _all_nodes_good(resolved, ma, config):
             return GoodSample(sol, ma, tries)
     raise ExhaustedTries(max_tries)
 

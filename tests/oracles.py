@@ -7,11 +7,11 @@ they live beside the tests because nothing in the package needs them.
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 from rootcovers.arrangements import log_chern_resolved
 from rootcovers.covers import CoverSpec
-from rootcovers.errors import BudgetError, EmptySolutionSetError
+from rootcovers.errors import BudgetError, EmptySolutionSetError, ExceptionalVanishes
 from rootcovers.numth import (
     DEFAULT_FAREY,
     FareyConfig,
@@ -20,7 +20,7 @@ from rootcovers.numth import (
     is_farey_neighbour,
     lt_sqrt_bound,
 )
-from rootcovers.partitions import node_residues
+from rootcovers.partitions import GoodSample, _sample, assign, is_good, node_residues
 
 
 def ncf_convergents(e) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -310,3 +310,39 @@ def dp_sample(sys, seed) -> list[list[int]]:
             raise EmptySolutionSetError(f"p={sys.p} is below the minimal block sum")
         out.append(dp_sample_block(block.u, sys.p, rng))
     return out
+
+
+def bisect_ones(rem, ones, rng) -> list[int]:
+    """Uniform positive solution of x_1 + ... + x_ones = rem: each part
+    bisects [1, rem - left + 1] for the smallest M with
+    C(rem-1, left-1) - C(rem-1-M, left-1) > randrange(C(rem-1, left-1))."""
+    parts = []
+    for left in range(ones, 1, -1):
+        total = comb(rem - 1, left - 1)
+        r = rng.randrange(total)
+        lo, hi = 1, rem - (left - 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if total - comb(rem - mid - 1, left - 1) > r:
+                hi = mid
+            else:
+                lo = mid + 1
+        parts.append(lo)
+        rem -= lo
+    parts.append(rem)
+    return parts
+
+
+def sample_good_full(sys, resolved, seed, max_tries, config=DEFAULT_FAREY):
+    """sample_good's rejection loop with is_good's full verdict on every try:
+    the GoodSample, or None when every try is rejected."""
+    rng = random.Random(seed)
+    for tries in range(1, max_tries + 1):
+        sol = _sample(sys, rng)
+        try:
+            ma = assign(resolved, sol)
+        except ExceptionalVanishes:
+            continue
+        if is_good(resolved, ma, config).good:
+            return GoodSample(sol, ma, tries)
+    return None

@@ -20,9 +20,16 @@ from rootcovers.errors import (
     FileFormatError,
     ValidationError,
 )
-from rootcovers.numth import primes_between
+from rootcovers import numth
+from rootcovers.numth import FareyConfig, primes_between
 
-from oracles import dp_sample, dp_sample_block, suffix_counts_full
+from oracles import (
+    bisect_ones,
+    dp_sample,
+    dp_sample_block,
+    sample_good_full,
+    suffix_counts_full,
+)
 
 
 def _ones_system(p, k):
@@ -269,6 +276,45 @@ def test_count_matches_brute_enumeration(u, p):
     assert pt.count_solutions(pt.DiophSystem(p, (block,))) == _brute_count(u, p)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(2, 240), st.integers(0, 3 * 10**24), st.integers(0, 2**32))
+@example(240, 3 * 10**24, 0)
+@example(9, 3 * 10**24 + 7 - 9, 1)
+@example(2, 0, 2)
+def test_ones_tail_inversion_matches_bisection(ones, extra, seed):
+    # rem = ones and ones + 1 put parts at n = k - 1, where C(n, k) = 0 and
+    # the next total C(k - 1, k - 1) is 1
+    for rem in (ones, ones + 1, ones + extra):
+        got, want = random.Random(seed), random.Random(seed)
+        assert pt._draw_ones(rem, ones, got) == bisect_ones(rem, ones, want)
+        assert got.getstate() == want.getstate()
+
+
+def test_ones_tail_calls_comb_once_per_part(monkeypatch):
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(pt, "comb", counted)
+    for ones, rem in ((9, 1000003), (9, 3 * 10**24 + 7), (2, 5), (1, 7), (40, 41)):
+        calls.clear()
+        parts = pt._draw_ones(rem, ones, random.Random(ones))
+        assert len(parts) == ones and sum(parts) == rem and min(parts) >= 1
+        assert len(calls) == ones
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 240])
+def test_iroot_is_the_floor_root(k):
+    rng = random.Random(k)
+    values = [rng.randrange(10 ** rng.randrange(1, 200)) for _ in range(300)] + list(range(300))
+    values += [r**k + e for r in range(1, 40) for e in (-1, 0)]  # either side of a power
+    for x in values:
+        r = pt._iroot(x, k)
+        assert r**k <= x < (r + 1) ** k
+
+
 def test_weighted_sampler_scales_with_log_p():
     u = (2, 1, 1, 1, 1)
     p = 300007
@@ -481,6 +527,65 @@ def test_sample_good_exhausts_at_tiny_p():
     sysd = pt.system_for(tri, 17)
     with pytest.raises(ExhaustedTries):
         pt.sample_good(sysd, ra, seed=1, max_tries=8)
+
+
+# rejection-heavy cases: about 1-17% of tries are good at C = 1, fewer at C = 2
+_REJECTING = [
+    pytest.param(make, args, p, Fraction(C), id=f"{make}{args}-{p}-C{C}")
+    for make, args, p, C in (
+        ("gen_ceva", (3,), 10007, 1),
+        ("gen_ceva", (3,), 30011, 2),
+        ("gen_ceva", (5,), 100003, 1),
+        ("gen_ceva", (5,), 100003, 2),
+        ("gen_pg2", (5,), 1000003, 1),
+        ("gen_pg2", (5,), 1000003, 2),
+        ("gen_p1xp1", (3, 4, 5), 30011, 1),
+        ("gen_p1xp1", (3, 4, 5), 100003, 2),
+    )
+]
+
+
+@pytest.mark.parametrize("make, args, p, C", _REJECTING)
+def test_sample_good_matches_the_full_verdict_loop(make, args, p, C):
+    a = getattr(ar, make)(*args)
+    ra = ar.resolve(a)
+    sysd = pt.system_for(a, p)
+    config = FareyConfig(C)
+    for seed in range(4):
+        want = sample_good_full(sysd, ra, seed, 40, config)
+        try:
+            got = pt.sample_good(sysd, ra, seed=seed, max_tries=40, config=config)
+        except ExhaustedTries:
+            got = None
+        assert got == want
+
+
+@pytest.mark.parametrize("make, args, p, C", _REJECTING)
+def test_a_rejected_try_stops_at_its_first_farey_hit(make, args, p, C, monkeypatch):
+    a = getattr(ar, make)(*args)
+    ra = ar.resolve(a)
+    sysd = pt.system_for(a, p)
+    config = FareyConfig(C)
+    calls = []
+
+    def counted(q, p, config):
+        calls.append(q)
+        return numth.is_farey_neighbour(q, p, config)
+
+    monkeypatch.setattr(pt, "is_farey_neighbour", counted)
+    stopped_early = 0
+    for seed in range(10):
+        ma = pt.assign(ra, pt._sample(sysd, random.Random(seed)))
+        hits = [numth.is_farey_neighbour(n.q, p, config) for n in pt.node_residues(ra, ma)]
+        calls.clear()
+        try:
+            pt.sample_good(sysd, ra, seed=seed, max_tries=1, config=config)
+        except ExhaustedTries:
+            assert len(calls) == hits.index(True) + 1
+            stopped_early += len(calls) < len(hits)
+        else:
+            assert len(calls) == len(hits) and not any(hits)
+    assert stopped_early
 
 
 def test_sample_good_budgets_tries_times_nodes(monkeypatch):
