@@ -244,10 +244,6 @@ def validate(a: Arrangement) -> CombinatorialData:
                     f"lines {a.curves[x].id} and {a.curves[y].id} share {c} points; "
                     "every pair of lines must share exactly one",
                 )
-        if pairs != comb(a.d, 2):
-            raise ValidationError(
-                "line-pairs", "point degrees do not cover all line pairs exactly once"
-            )
 
     return CombinatorialData(a.d, dict(sorted(t.items())))
 
@@ -283,8 +279,12 @@ class ResolvedArrangement:
     arrangement: Arrangement
     surface: SurfaceClass  # after blowing up the k points of degree >= 3
     divisors: tuple[ResolvedCurve, ...]
-    nodes: dict[tuple[int, int], int]  # divisor index pair (i < j) -> node count
-    t2_total: int
+    nodes: dict[tuple[int, int], int]  # divisor pair (i < j) -> node count, kept sorted
+    t2_total: int = field(init=False)
+
+    def __post_init__(self):
+        self.nodes = dict(sorted(self.nodes.items()))
+        self.t2_total = sum(self.nodes.values())
 
     @property
     def r(self) -> int:
@@ -350,8 +350,7 @@ def resolve(a: Arrangement) -> ResolvedArrangement:
         arrangement=a,
         surface=a.surface.blown_up(len(heavy)),
         divisors=tuple(divisors),
-        nodes=dict(nodes),
-        t2_total=sum(nodes.values()),
+        nodes=nodes,
     )
 
 

@@ -76,11 +76,8 @@ class CoverSpec:
         if self.nu.p != self.p:
             raise ValueError(f"assignment p={self.nu.p} differs from cover p={self.p}")
         for div in self.resolved.divisors:
-            value = self.nu.nu.get(div.id)
-            if value is None:
+            if div.id not in self.nu.nu:
                 raise ValueError(f"divisor {div.id} has no multiplicity")
-            if not 0 < value < self.p:
-                raise ValueError(f"nu[{div.id}] = {value} outside (0, {self.p})")
 
 
 @dataclass(frozen=True)
@@ -239,12 +236,12 @@ def report(spec: CoverSpec) -> ChernReport:
 MAX_SCAN_SAMPLES = 30_000
 # Most node checks (primes x max_tries x nodes) one convergence_scan may
 # spend when every prime exhausts its tries and is skipped.  Such scans just
-# under the bound take 5.0 s and 25 MB for gen_ceva(80) at four primes near
-# 1e6 (51 tries each, about 1.3 us a check) and 4.7 s for dual Hesse at
-# primes 11-100 (5,291 tries each, about 1.2 us a check), on a 2-core x86-64
-# host with Python 3.11: a rejected try stops at its first Farey hit.  The
-# bound stays a worst case, since an accepted try checks every node (about
-# 3.6 us a node for gen_ceva(80) at 1000003, 13 us for dual Hesse at
+# under the bound take 5.0-5.2 s and 25 MB for gen_ceva(80) at four primes
+# near 1e6 (51 tries each, about 1.3 us a check) and 6.3 s for dual Hesse at
+# primes 11-100 (5,291 tries each, about 1.6 us a check), on a shared 2-core
+# x86-64 host with Python 3.11: a rejected try stops at its first Farey hit.
+# The bound stays a worst case, since an accepted try checks every node
+# (about 6 us a node for gen_ceva(80) at 1000003, 29 us for dual Hesse at
 # 3e24+7, where each draw works on bigger integers).
 MAX_SCAN_NODE_CHECKS = 4_000_000
 

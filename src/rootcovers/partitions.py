@@ -68,11 +68,12 @@ __all__ = [
 # about 0.8 us and 120 B per cell: (101, 97, 83), 2,455,578 cells, takes
 # about 2 s and 300 MB peak RSS on a 2-core x86-64 host with Python 3.11.
 # The node bound is the worst case, in which every try checks every node,
-# as an accepted try does: about 3.6 us a node for gen_ceva(80) and 4 us for
-# pg2(7) at 1000003, 13 us for dual Hesse at 3e24+7 (draw and assign
-# included).  A rejected try stops at its first Farey hit: 10 rejected
-# tries of gen_ceva(80) at 1000003 take 0.21 s, and one rejected dual-Hesse
-# try at 3e24+7 with C = 10^11 takes about 90 us, on the same host.
+# as an accepted try does: about 6 us a node for gen_ceva(80) and 8 us for
+# pg2(7) at 1000003, 29 us for dual Hesse at 3e24+7 (draw and assign
+# included; a shared 2-core host, about half as fast as the one above).  A
+# rejected try stops at its first Farey hit: there, 10 rejected tries of
+# gen_ceva(80) at 1000003 take 0.16-0.24 s, about three quarters of it the
+# draw, and one rejected dual-Hesse try at 3e24+7 with C = 10^11 170 us.
 MAX_SUFFIX_CELLS = 2_500_000
 MAX_SAMPLING_NODES = 1_000_000
 
@@ -455,14 +456,15 @@ def assign(
     the solution must be rejected (ExceptionalVanishes).
     """
     p = sol.p
+    mu = sol.mu.__getitem__
     nu: dict[str, int] = {}
     for div in resolved.divisors:
-        for cid in div.curves:
-            if cid not in sol.mu:
-                raise ValidationError(
-                    "mu-missing", f"solution has no mu for curve {cid!r}"
-                )
-        total = sum(sol.mu[cid] for cid in div.curves) % p
+        try:
+            total = sum(map(mu, div.curves)) % p
+        except KeyError as exc:
+            raise ValidationError(
+                "mu-missing", f"solution has no mu for curve {exc.args[0]!r}"
+            ) from None
         if total == 0:
             raise ExceptionalVanishes(
                 f"blow-up divisor {div.id} over {div.curves} "
@@ -481,12 +483,12 @@ class NodeResidue:
 
 def _node_table(resolved: ResolvedArrangement, ma: MultiplicityAssignment):
     """Yield the NodeResidue of each intersecting divisor pair, lazily, in
-    node_residues order.  The pairs come sorted by (i, j), so each divisor's
-    inverse nu_i' is computed once, when its first node comes up."""
+    node_residues order.  The resolution keeps the pairs in (i, j) order, so
+    each divisor's inverse nu_i' is computed once, at its first node."""
     p, nu = ma.p, ma.nu
     divisors = resolved.divisors
     last = None
-    for (i, j), count in sorted(resolved.nodes.items()):
+    for (i, j), count in resolved.nodes.items():
         if i != last:
             last, inverse = i, pow(nu[divisors[i].id], -1, p)
         q = p - inverse * nu[divisors[j].id] % p

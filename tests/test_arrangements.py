@@ -102,6 +102,11 @@ def test_validate_diagnostics_codes():
     with pytest.raises(ValidationError) as err:
         ar.Arrangement(tri.surface, 1, tri.curves, tri.points[:2], line_arrangement=True)
     assert err.value.code == "line-pairs"
+    # as many points as pairs, but one pair repeated and another left out
+    points = (tri.points[0], tri.points[0], tri.points[1])
+    with pytest.raises(ValidationError) as err:
+        ar.Arrangement(tri.surface, 1, tri.curves, points, line_arrangement=True)
+    assert err.value.code == "line-pairs"
 
 
 def test_construction_raises_each_validate_code():

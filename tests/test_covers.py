@@ -116,7 +116,6 @@ def test_orientation_invariance():
             (ra.r - 1 - j, ra.r - 1 - i): count
             for (i, j), count in ra.nodes.items()
         },
-        t2_total=ra.t2_total,
     )
     rep2 = cv.report(cv.CoverSpec(61169, flipped, ma))
     assert (rep.chi, rep.c1_sq, rep.c2) == (rep2.chi, rep2.c1_sq, rep2.c2)

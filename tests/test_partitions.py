@@ -447,6 +447,12 @@ def test_assign_missing_mu():
     with pytest.raises(ValidationError, match="no mu for curve 'B1'") as info:
         pt.assign(ra, pt.PartitionSolution(13, parts))
     assert info.value.code == "mu-missing"
+    # with two missing, the first in arrangement order is named, whatever
+    # order the solution lists its curves in
+    parts = {c.id: 1 for c in reversed(dh.curves) if c.id not in ("A2", "C0")}
+    with pytest.raises(ValidationError, match="no mu for curve 'A2'") as info:
+        pt.assign(ra, pt.PartitionSolution(13, parts))
+    assert info.value.code == "mu-missing"
 
 
 def test_assign_triangle_identity():
@@ -456,6 +462,41 @@ def test_assign_triangle_identity():
     sol = pt.solution_from_parts(sysd, [[2, 4, 5]])
     ma = pt.assign(ra, sol)
     assert ma.nu == sol.mu
+
+
+def _flipped(ra):
+    """ra with its divisor order reversed, nodes handed over out of order."""
+    return ar.ResolvedArrangement(
+        arrangement=ra.arrangement,
+        surface=ra.surface,
+        divisors=tuple(reversed(ra.divisors)),
+        nodes={(ra.r - 1 - j, ra.r - 1 - i): c for (i, j), c in ra.nodes.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ar.resolve(ar.gen_general_lines(6)),
+        lambda: ar.resolve(ar.gen_ceva(3)),
+        lambda: ar.resolve(ar.gen_ceva(5)),
+        lambda: ar.resolve(ar.gen_pg2(5)),
+        lambda: ar.resolve(ar.gen_underline_ceva(5)),
+        lambda: ar.resolve(ar.gen_p1xp1(3, 4, 5)),
+        lambda: _flipped(ar.resolve(ar.gen_ceva(3))),
+    ],
+    ids=["lines6", "ceva3", "ceva5", "pg2-5", "underline5", "p1xp1", "flipped"],
+)
+def test_resolution_fixes_node_order(make):
+    ra = make()
+    assert list(ra.nodes) == sorted(ra.nodes)
+    assert ra.t2_total == sum(ra.nodes.values())
+    p = 101
+    nu = {d.id: 1 + i % (p - 1) for i, d in enumerate(ra.divisors)}
+    ma = pt.MultiplicityAssignment(p, nu)
+    idx = ra.divisor_index()
+    pairs = [(idx[a], idx[b]) for a, b in (n.pair for n in pt.node_residues(ra, ma))]
+    assert pairs == list(ra.nodes)
 
 
 def test_node_residue_examples():
