@@ -386,8 +386,6 @@ def _cmd_numth(args) -> int:
     elif op == "farey":
         need(2)
         out.emit(str(numth.is_farey_neighbour(vals[0], vals[1], config)))
-    else:
-        raise ValidationError("bad-op", f"unknown numth operation {op!r}")
     out.finish()
     return EXIT_OK
 

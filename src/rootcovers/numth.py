@@ -47,7 +47,6 @@ __all__ = [
     "bad_set",
     "badset_bound_holds",
     "lt_sqrt_bound",
-    "sqrt_enclosure",
     "log_enclosure",
 ]
 
@@ -358,21 +357,14 @@ def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:
 # Exact comparisons against sqrt/log bounds
 
 
-def lt_sqrt_bound(value: Fraction, mult: int, offset: int, p: int) -> bool:
+def lt_sqrt_bound(value: int | Fraction, mult: int, offset: int, p: int) -> bool:
     """Exact test of value < mult*sqrt(p) + offset (mult >= 0, p not a square)."""
-    t = Fraction(value) - offset
+    t = value - offset
     if t < 0:
         return True
     if t == 0:
         return mult > 0
     return t * t < mult * mult * p
-
-
-def sqrt_enclosure(n: int, digits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(n) <= hi with hi - lo = 10^-digits."""
-    scale = 10**digits
-    a = isqrt(n * scale * scale)
-    return Fraction(a, scale), Fraction(a + 1, scale)
 
 
 def _atanh_enclosure(u: Fraction, terms: int) -> tuple[Fraction, Fraction]:
@@ -418,16 +410,15 @@ def badset_bound_holds(
 ) -> bool:
     """Exact check of count <= C*sqrt(p)*(log p + 2 log 2).
 
-    log p + 2 log 2 = log(4p); the right side is enclosed by rationals and
-    the precision is raised until the comparison is decided (the bound is
-    irrational, so ties cannot occur).
+    log p + 2 log 2 = log(4p) is enclosed by rationals lo and hi, both
+    sides are squared, and the precision is raised until the comparison is
+    decided (the bound is irrational, so ties cannot occur).
     """
-    target = Fraction(4 * p)
-    for digits, terms in ((12, 12), (24, 24), (48, 48), (96, 96)):
-        slo, shi = sqrt_enclosure(p, digits)
-        llo, lhi = log_enclosure(target, terms)
-        if count <= config.C * slo * llo:
+    bound_sq = config.C**2 * p
+    for terms in (12, 24, 48, 96):
+        lo, hi = log_enclosure(4 * p, terms)
+        if count * count <= bound_sq * lo * lo:
             return True
-        if count > config.C * shi * lhi:
+        if count * count > bound_sq * hi * hi:
             return False
     raise ArithmeticError("log enclosure failed to separate (unreachable)")

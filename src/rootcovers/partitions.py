@@ -65,8 +65,11 @@ __all__ = [
 # coefficients, sum of lcm(u[j:]) len(u[j:]) over its levels), and most node
 # checks one sample_good call may make (max_tries x nodes; the largest input
 # in the tests, demos and benchmark is 500 tries x 36 nodes).  A build costs
-# about 0.8 us and 120 B per cell: (101, 97, 83), 2,455,578 cells, takes
-# about 2 s and 300 MB peak RSS on a 2-core x86-64 host with Python 3.11.
+# about 0.6 us and 120 B per cell: (101, 97, 83), 2,455,638 cells, takes
+# 1.5 s and 290 MB peak RSS on a 2-core x86-64 host with Python 3.11.  The
+# work grows as L_j k_j^2, which the cells do not see: level j takes k_j
+# rounds of differences over up to L_j k_j entries, so (2, 1 x 1000), 2,002
+# cells, takes 0.6 s there, and (2, 1 x 2000), 4,002 cells, 3.6 s.
 # The node bound is the worst case, in which every try checks every node,
 # as an accepted try does: about 6 us a node for gen_ceva(80) and 8 us for
 # pg2(7) at 1000003, 29 us for dual Hesse at 3e24+7 (draw and assign
@@ -137,9 +140,11 @@ class _SuffixCount:
     With s = t - sum(v), S(t) is the number D(s) of nonnegative solutions,
     Sylvester's denumerant.  Its generating function 1/prod(1 - x^v_i) is a
     proper rational function, so at every s >= 0 on the class s = r + L n,
-    L = lcm(v), D is a polynomial in n of degree < k = len(v).  table[r]
-    holds the integer coefficients of (k-1)! D(r + L n) in n, highest degree
-    first, and `scale` is (k-1)!.
+    L = lcm(v), D is a polynomial in n of degree < k = len(v).  In Newton's
+    form, D(r + L n) = sum_{i<k} Delta^i D(r) C(n, i), the differences taken
+    in steps of L; table[r] holds the integers (k-1)!/i! Delta^i D(r),
+    highest i first, and `scale` is (k-1)!, so (k-1)! D is a sum of
+    falling factorials n (n-1) ... (n-i+1) with those coefficients.
     """
 
     sigma: int
@@ -152,35 +157,31 @@ class _SuffixCount:
         return len(self.table) * len(self.table[0])
 
     def count(self, t: int) -> int:
+        """Horner's rule over the falling factorials: acc = acc m + c for
+        m = n-k+1, ..., n, then one exact division by (k-1)!."""
         s = t - self.sigma
         if s < 0:
             return 0
         n, r = divmod(s, self.period)
+        row = self.table[r]
+        m = n - len(row)
         acc = 0
-        for c in self.table[r]:
-            acc = acc * n + c
+        for c in row:
+            m += 1
+            acc = acc * m + c
         return acc // self.scale
 
 
 def _quasi_polynomial(sigma: int, period: int, k: int, D: list[int]) -> _SuffixCount:
-    """The coefficients of D(r + L n) for every r < L, from D(s) at s < L k.
-
-    Newton's forward differences in steps of L give D(r + L n) =
-    sum_i Delta^i D(r) C(n, i); (k-1)! C(n, i) is (k-1)!/i! times the
-    falling factorial n (n-1) ... (n-i+1), whose monomial coefficients are
-    integers, so every stored coefficient is an integer.
-    """
-    scale = factorial(k - 1)
-    coeffs = [[0] * period for _ in range(k)]  # coeffs[m][r] multiplies n^m
+    """Newton's forward differences of D(r + L n) for every r < L, from D(s)
+    at s < L k; each is scaled by the integer (k-1)!/i!."""
+    scale = f = factorial(k - 1)
+    coeffs = []  # coeffs[i][r] = (k-1)!/i! Delta^i D(r)
     row = D[: period * k]
-    falling = [1]  # n (n-1) ... (n-i+1), lowest degree first
     for i in range(k):
-        f = scale // factorial(i)
-        for m, a in enumerate(falling):
-            if a:
-                coeffs[m] = [c + f * a * d for c, d in zip(coeffs[m], row)]
+        coeffs.append([f * d for d in row[:period]])
         row = [b - a for a, b in zip(row, row[period:])]
-        falling = [a - i * b for a, b in zip([0] + falling, falling + [0])]
+        f //= i + 1
     return _SuffixCount(sigma, period, scale, tuple(zip(*reversed(coeffs))))
 
 
@@ -193,8 +194,8 @@ def _quasi_polynomials(u: tuple[int, ...]) -> tuple[_SuffixCount, ...]:
     L_j k_j coefficients.  Their sum is checked against MAX_SUFFIX_CELLS
     before anything is built, once per weight vector.  The levels are fixed
     by D_j(s) at s < L_0 k_0, held in one list updated in place back to
-    front with D_j(s) = D_j(s - u_j) + D_{j+1}(s), from the all-ones tail's
-    closed form C(s + k-h-1, k-h-1).
+    front with D_j(s) = D_j(s - u_j) + D_{j+1}(s), from the empty sum's
+    D(s) = [s = 0]; the all-ones tail's levels are passed through, not kept.
     """
     h = _ones_tail(u)
     shapes = [(sum(u[j:]), lcm(*u[j:]), len(u) - j) for j in range(h)]
@@ -204,17 +205,14 @@ def _quasi_polynomials(u: tuple[int, ...]) -> tuple[_SuffixCount, ...]:
             f"suffix counts of {cells} cells exceed the budget {MAX_SUFFIX_CELLS}"
         )
     size = shapes[0][1] * shapes[0][2]
-    ones = len(u) - h
-    if ones:
-        D = [comb(s + ones - 1, ones - 1) for s in range(size)]
-    else:
-        D = [1] + [0] * (size - 1)
+    D = [1] + [0] * (size - 1)
     levels: list = [None] * h
-    for j in range(h - 1, -1, -1):
+    for j in range(len(u) - 1, -1, -1):
         w = u[j]
         for s in range(w, size):
             D[s] += D[s - w]
-        levels[j] = _quasi_polynomial(*shapes[j], D)
+        if j < h:
+            levels[j] = _quasi_polynomial(*shapes[j], D)
     return tuple(levels)
 
 

@@ -55,10 +55,6 @@ class TableRun:
     title: str
     rows: tuple[TableRow, ...]
 
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
 
 def run_table(name: str) -> TableRun:
     """Recompute one reference table row by row."""

@@ -473,7 +473,12 @@ def test_numth_debug_surface(capsys):
     assert out.count("-1/14") == 3
     assert main(["numth", "farey", "50", "101"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "True"
+    assert main(["numth", "canonical", "3", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "2/1"
+    assert main(["numth", "rcf-total", "3", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "4"
     assert main(["numth", "ncf-eval", "2", "1", "3"]) == EXIT_VALIDATION
+    assert main(["numth", "length", "3"]) == EXIT_VALIDATION
     capsys.readouterr()
 
 

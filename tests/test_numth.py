@@ -306,6 +306,12 @@ def test_bad_set_examples_and_bound():
         assert nt.badset_bound_holds(len(nt.bad_set(p)), p)
     # the p = 17 bound evaluates below 17.5, so |F| <= 17 suffices
     assert len(nt.bad_set(17)) <= 17
+    # on either side of the bound: about 263.7 at p = 1009, C = 1, and
+    # about 395.6 at C = 3/2
+    assert nt.badset_bound_holds(263, 1009)
+    assert not nt.badset_bound_holds(264, 1009)
+    assert nt.badset_bound_holds(395, 1009, nt.FareyConfig(Fraction(3, 2)))
+    assert not nt.badset_bound_holds(396, 1009, nt.FareyConfig(Fraction(3, 2)))
 
 
 def test_bad_set_budget(monkeypatch):
@@ -366,12 +372,6 @@ def test_bad_set_huge_C_is_everything_at_once():
 def test_bad_set_c2_wider_than_c1():
     for p in (101, 1009):
         assert nt.bad_set(p) <= nt.bad_set(p, nt.FareyConfig(Fraction(2)))
-
-
-def test_sqrt_enclosure():
-    lo, hi = nt.sqrt_enclosure(2, 12)
-    assert lo * lo <= 2 <= hi * hi
-    assert hi - lo == Fraction(1, 10**12)
 
 
 def test_log_enclosure_brackets_float_log():

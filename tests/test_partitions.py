@@ -162,6 +162,20 @@ def test_large_lcm_counts_and_samples_like_the_oracle():
     pt._quasi_polynomials.cache_clear()  # 2,164,474 cells need not outlive the test
 
 
+def test_a_long_ones_tail_builds_in_bounded_time():
+    # one conic and 1000 lines in one block store only 2 x 1001 cells, and
+    # the build costs no more than its Newton differences
+    u, p = (2,) + (1,) * 1000, 10007
+    sysd = pt.DiophSystem(p, (pt.DiophBlock(tuple(f"c{i}" for i in range(1001)), u),))
+    pt._quasi_polynomials.cache_clear()
+    start = perf_counter()
+    count = pt.count_solutions(sysd)
+    assert perf_counter() - start < 5.0
+    # a conic part x leaves p - 2x to split into 1000 positive parts
+    assert count == sum(comb(p - 2 * x - 1, 999) for x in range(1, p // 2 + 1))
+    pt._quasi_polynomials.cache_clear()
+
+
 def test_quasi_polynomials_are_built_once_per_weight_vector(monkeypatch):
     # count_solutions and sample_good at three primes share one build of each
     # level; a vector over the budget is refused before any level is built
@@ -586,12 +600,31 @@ _REJECTING = [
 ]
 
 
-@pytest.mark.parametrize("make, args, p, C", _REJECTING)
-def test_sample_good_matches_the_full_verdict_loop(make, args, p, C):
+# Tries here whose blow-up multiplicity vanishes mod p reach sample_good's
+# `except ExceptionalVanishes` branch.  Not in _REJECTING: the early-exit test
+# calls assign directly, which would raise on them.
+_VANISHING = ("gen_underline_ceva", (3,), 101, Fraction(1, 10))
+
+
+@pytest.mark.parametrize(
+    "make, args, p, C",
+    _REJECTING + [pytest.param(*_VANISHING, id="gen_underline_ceva(3,)-101-C1_10")],
+)
+def test_sample_good_matches_the_full_verdict_loop(make, args, p, C, monkeypatch):
     a = getattr(ar, make)(*args)
     ra = ar.resolve(a)
     sysd = pt.system_for(a, p)
     config = FareyConfig(C)
+    assign, vanished = pt.assign, []
+
+    def counted(resolved, sol):
+        try:
+            return assign(resolved, sol)
+        except ExceptionalVanishes:
+            vanished.append(sol)
+            raise
+
+    monkeypatch.setattr(pt, "assign", counted)
     for seed in range(4):
         want = sample_good_full(sysd, ra, seed, 40, config)
         try:
@@ -599,6 +632,8 @@ def test_sample_good_matches_the_full_verdict_loop(make, args, p, C):
         except ExhaustedTries:
             got = None
         assert got == want
+    if (make, args, p, C) == _VANISHING:
+        assert vanished
 
 
 @pytest.mark.parametrize("make, args, p, C", _REJECTING)
