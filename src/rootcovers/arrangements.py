@@ -13,8 +13,8 @@ point, and each blown-up point contributes a genus-0 divisor of
 self-intersection -1 meeting each incident proper transform once.  Log
 Chern numbers are computed both from the raw combinatorial data and from
 the resolved configuration; the two must agree.  An Arrangement is checked
-once, when it is built, and every consumer reads the t_n counts it keeps as
-`a.data`; only an explicit `validate(a)` re-runs the checks.
+once, when it is built, and every consumer reads the t_n counts and block
+groups it keeps as `a.data`; only an explicit `validate(a)` re-runs the checks.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class Arrangement:
         return len(self.curves)
 
     def block_members(self, b: int) -> list[CurveDecl]:
-        return [c for c in self.curves if c.block == b]
+        return list(self.data.blocks[b - 1]) if 1 <= b <= self.blocks else []
 
     def curve_index(self) -> dict[str, int]:
         return {c.id: i for i, c in enumerate(self.curves)}
@@ -152,10 +152,12 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class CombinatorialData:
-    """d and the point-degree counts t_n (only nonzero entries are stored)."""
+    """d, the point-degree counts t_n (only nonzero entries are stored), and
+    each block's curves in arrangement order, block b at index b - 1."""
 
     d: int
     t: dict[int, int]
+    blocks: tuple[tuple[CurveDecl, ...], ...] = ()
 
     def t_n(self, n: int) -> int:
         return self.t.get(n, 0)
@@ -178,7 +180,7 @@ MAX_ARRANGEMENT_CHARS = 4_000_000
 
 
 def validate(a: Arrangement) -> CombinatorialData:
-    """Re-run every structural check that building `a` ran, and return the t_n counts.
+    """Re-run every check that building `a` ran; return the t_n counts and block groups.
 
     Raises ValidationError with a distinct code for each failure class:
     curve-count, curve-id-dup, block-range, block-size, block-gcd,
@@ -193,21 +195,21 @@ def validate(a: Arrangement) -> CombinatorialData:
             raise ValidationError("curve-id-dup", f"duplicate curve id {c.id!r}")
         index[c.id] = i
 
+    groups: dict[int, list[CurveDecl]] = {}  # only the blocks in use
     for c in a.curves:
         if c.block > a.blocks:
             raise ValidationError(
                 "block-range",
                 f"curve {c.id} sits in block {c.block} but only {a.blocks} declared",
             )
+        groups.setdefault(c.block, []).append(c)
     for b in range(1, a.blocks + 1):
-        members = a.block_members(b)
+        members = groups.get(b, ())
         if len(members) < 3:
             raise ValidationError(
                 "block-size", f"block {b} has {len(members)} curves; need >= 3"
             )
-        g = 0
-        for c in members:
-            g = gcd(g, c.u)
+        g = gcd(*(c.u for c in members))
         if g != 1:
             raise ValidationError(
                 "block-gcd", f"block {b} has u-gcd {g}; the u values must be coprime"
@@ -245,7 +247,8 @@ def validate(a: Arrangement) -> CombinatorialData:
                     "every pair of lines must share exactly one",
                 )
 
-    return CombinatorialData(a.d, dict(sorted(t.items())))
+    blocks = tuple(tuple(groups[b]) for b in range(1, a.blocks + 1))
+    return CombinatorialData(a.d, dict(sorted(t.items())), blocks)
 
 
 def log_chern_direct(a: Arrangement) -> LogChernNumbers:

@@ -299,8 +299,10 @@ def convergence_scan(
     Deterministic in `seed`: sample k at prime p uses the derived seed
     (seed * 1000003 + p) * 1000003 + k.  A prime where sampling exhausts
     its tries is skipped with a record.  More than MAX_SCAN_SAMPLES samples
-    in all, or more than MAX_SCAN_NODE_CHECKS node checks over the tries of
-    every prime, are refused before the first draw.
+    in all, or more than MAX_SCAN_NODE_CHECKS node checks as primes x
+    max_tries x nodes, are refused before the first draw.  That product is
+    the cost if every prime is skipped at its first sample; later samples
+    are bounded only per call, by sample_good's MAX_SAMPLING_NODES.
     """
     if samples_per_prime < 1:
         raise ValueError(f"need at least 1 sample per prime, got {samples_per_prime}")

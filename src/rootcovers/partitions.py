@@ -91,9 +91,7 @@ class DiophBlock:
             raise ValidationError("block-shape", "curve ids and u lengths differ")
         if any(w < 1 for w in self.u):
             raise ValidationError("block-u", "u weights must be positive")
-        g = 0
-        for w in self.u:
-            g = gcd(g, w)
+        g = gcd(*self.u)
         if g != 1:
             raise ValidationError("block-gcd", f"block u-gcd is {g}, must be 1")
 
@@ -111,16 +109,11 @@ class DiophSystem:
 
 
 def system_for(a: Arrangement, p: int) -> DiophSystem:
-    """One equation per block, curves in arrangement order."""
-    blocks = []
-    for b in range(1, a.blocks + 1):
-        members = a.block_members(b)
-        blocks.append(
-            DiophBlock(
-                tuple(c.id for c in members), tuple(c.u for c in members)
-            )
-        )
-    return DiophSystem(p, tuple(blocks))
+    """One equation per block, curves in arrangement order (a.data.blocks)."""
+    return DiophSystem(p, tuple(
+        DiophBlock(tuple(c.id for c in members), tuple(c.u for c in members))
+        for members in a.data.blocks
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootcovers import arrangements as ar
+from rootcovers import partitions as pt
 from rootcovers.errors import BudgetError, FileFormatError, ValidationError
 
 
@@ -121,6 +122,62 @@ def test_construction_raises_each_validate_code():
         with pytest.raises(ValidationError) as err:
             ar.Arrangement(ar.P2, blocks, curves, points)
         assert err.value.code == code
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [
+        (lambda: ar.CurveDecl("C", -1, 1, 1, 1), "curve-genus"),
+        (lambda: ar.CurveDecl("C", 0, 1, 1, 0), "curve-u"),
+        (lambda: ar.CurveDecl("C", 0, 1, 0, 1), "curve-block"),
+        (lambda: ar.PointDecl(("A", "A")), "point-dup"),
+    ],
+    ids=["curve-genus", "curve-u", "curve-block", "point-dup"],
+)
+def test_declarations_raise_their_codes(make, code):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.code == code
+
+
+def _lines_in_blocks(order):
+    """One line C<i> in block order[i] for each i."""
+    return tuple(ar.CurveDecl(f"C{i}", 0, 1, b, 1) for i, b in enumerate(order))
+
+
+def test_interleaved_blocks_keep_arrangement_order():
+    curves = _lines_in_blocks([2, 1, 2, 1, 1, 2])
+    a = ar.Arrangement(ar.P2, 2, curves, ())
+    assert [c.id for c in a.block_members(1)] == ["C1", "C3", "C4"]
+    assert [c.id for c in a.block_members(2)] == ["C0", "C2", "C5"]
+    assert a.data.blocks == (tuple(a.block_members(1)), tuple(a.block_members(2)))
+    assert a.block_members(0) == [] and a.block_members(a.blocks + 1) == []
+    assert a.block_members(-1) == []
+
+
+def test_missing_middle_block_is_named():
+    curves = _lines_in_blocks([1, 1, 1, 3, 3, 3])
+    with pytest.raises(ValidationError, match="block 2 has 0 curves") as err:
+        ar.Arrangement(ar.P2, 3, curves, ())
+    assert err.value.code == "block-size"
+
+
+def test_huge_declared_block_count_fails_at_the_first_empty_block():
+    start = perf_counter()
+    with pytest.raises(ValidationError, match="block 2 has 0 curves") as err:
+        ar.Arrangement(ar.P2, 10**18, _lines_in_blocks([1, 1, 1]), ())
+    assert err.value.code == "block-size"
+    assert perf_counter() - start < 0.1
+
+
+def test_many_blocks_build_and_give_their_system_in_linear_time():
+    curves = _lines_in_blocks(b for b in range(1, 12_001) for _ in range(3))
+    start = perf_counter()
+    a = ar.Arrangement(ar.P2, 12_000, curves, ())
+    sysd = pt.system_for(a, 7)
+    assert perf_counter() - start < 3
+    assert len(sysd.blocks) == 12_000
+    assert sysd.blocks[-1].curve_ids == ("C35997", "C35998", "C35999")
 
 
 def test_generated_arrangements_carry_their_validate_data():
@@ -285,6 +342,11 @@ def test_file_parse_errors_carry_line_numbers():
         ar.from_text('{"format": "arrangement/1", "surface": {"name": "P2"}}')
 
 
+def test_file_top_level_must_be_an_object():
+    with pytest.raises(FileFormatError, match="top level"):
+        ar.from_text("[]")
+
+
 def test_file_deep_nesting_is_a_format_error():
     with pytest.raises(FileFormatError, match="recursion"):
         ar.from_text("[" * 100_000)
@@ -352,6 +414,21 @@ def test_generator_budget_counts_points(gen, args, monkeypatch):
     assert gen(*args) == a
     monkeypatch.setattr(ar, "MAX_GENERATOR_WORK", work - 1)
     with pytest.raises(BudgetError):
+        gen(*args)
+
+
+@pytest.mark.parametrize(
+    "gen, args",
+    [
+        (ar.gen_general_lines, (2,)),
+        (ar.gen_ceva, (0,)),
+        (ar.gen_underline_ceva, (2,)),
+        (ar.gen_p1xp1, (2, 3, 3)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_generators_refuse_too_small_parameters(gen, args):
+    with pytest.raises(ValueError):
         gen(*args)
 
 

@@ -40,6 +40,18 @@ def test_generate_param_count(capsys):
     assert main(["arrangement", "generate", "p1xp1", "3"]) == EXIT_VALIDATION
 
 
+def test_generate_without_out_writes_to_stdout(capsys):
+    assert main(["arrangement", "generate", "ceva", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == ar.to_text(ar.gen_ceva(3))
+
+
+def test_info_of_a_degenerate_arrangement(tmp_path, capsys):
+    path = tmp_path / "tri.json"
+    ar.save(ar.gen_general_lines(3), path)
+    assert main(["arrangement", "info", "--arrangement", str(path)]) == EXIT_OK
+    assert "log ratio undefined (c2 = 0)" in capsys.readouterr().out
+
+
 def test_info_shows_ratio(dual_hesse_file, capsys):
     assert main(["arrangement", "info", "--arrangement", dual_hesse_file]) == EXIT_OK
     out = capsys.readouterr().out
@@ -154,6 +166,19 @@ def test_invariants_partition_mismatch(dual_hesse_file, tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--partition", "row.txt", "--seed", "1"], "not both"), ([], "need --partition")],
+    ids=["both", "neither"],
+)
+def test_invariants_needs_exactly_one_of_partition_and_seed(
+    extra, message, dual_hesse_file, capsys
+):
+    code = main(["invariants", "--arrangement", dual_hesse_file, "--p", "61169", *extra])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
 def test_invariants_exhausted(tmp_path, capsys):
     tri = tmp_path / "tri.json"
     main(["arrangement", "generate", "general-lines", "3", "--out", str(tri)])
@@ -175,6 +200,13 @@ def test_tables_all_pass(which, rows, capsys):
     out = capsys.readouterr().out
     assert out.count(" PASS ") == rows
     assert f"PASS: {rows}/{rows} rows match" in out
+
+
+def test_unknown_table_name():
+    from rootcovers import tables as tb
+
+    with pytest.raises(ValueError, match="unknown table"):
+        tb.load_table("nope")
 
 
 def test_tables_detect_mismatch(monkeypatch, capsys):
@@ -248,6 +280,15 @@ def test_scan_rejects_nonpositive_samples(dual_hesse_file, capsys, samples):
     ])
     assert code == EXIT_VALIDATION
     assert "at least 1 sample" in capsys.readouterr().err
+
+
+def test_scan_without_primes(dual_hesse_file, capsys):
+    code = main([
+        "scan", "--arrangement", dual_hesse_file, "--primes", ",",
+        "--samples", "1", "--seed", "1",
+    ])
+    assert code == EXIT_VALIDATION
+    assert "no primes given" in capsys.readouterr().err
 
 
 def test_scan_prime_range_too_wide(dual_hesse_file, capsys):

@@ -409,6 +409,33 @@ def test_wrong_ncf_sum_breaks_the_error_term_identity(monkeypatch):
         cv.report(spec)
 
 
+def test_cover_spec_refuses_a_mismatched_or_partial_assignment():
+    spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
+    with pytest.raises(ValueError, match="differs from cover p"):
+        cv.CoverSpec(61169, spec.resolved, pt.MultiplicityAssignment(61171, spec.nu.nu))
+    partial = dict(spec.nu.nu)
+    del partial["E12"]
+    with pytest.raises(ValueError, match="E12 has no multiplicity"):
+        cv.CoverSpec(61169, spec.resolved, pt.MultiplicityAssignment(61169, partial))
+
+
+def test_report_raises_a_noether_mismatch(monkeypatch):
+    spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
+    monkeypatch.setattr(cv, "_invariants", lambda spec, terms: (Fraction(1), Fraction(1), 1))
+    with pytest.raises(ConsistencyError, match="independent routes disagree"):
+        cv.report(spec)
+
+
+def test_report_raises_a_good_cover_outside_the_bounds(monkeypatch):
+    dh = ar.gen_ceva(3)
+    ra = ar.resolve(dh)
+    good = pt.sample_good(pt.system_for(dh, 61169), ra, seed=11, max_tries=100)
+    spec = cv.CoverSpec(61169, ra, good.assignment)
+    monkeypatch.setattr(cv, "_bounds_ok", lambda terms, n_nodes, p: False)
+    with pytest.raises(ConsistencyError, match="square-root error bounds"):
+        cv.report(spec)
+
+
 def test_convergence_scan_small():
     dh = ar.gen_ceva(3)
     result = cv.convergence_scan(dh, [61169], samples_per_prime=3, seed=5)

@@ -444,3 +444,10 @@ def test_property_farey_remainder_walk_matches_convergent_walk(pqc):
     p, q, config = pqc
     for r in (0, 1, p - 1, q):
         assert nt.is_farey_neighbour(r, p, config) == farey_convergent_walk(r, p, config)
+
+
+def test_kernels_refuse_inputs_outside_their_domain():
+    with pytest.raises(ValueError):
+        nt.log_enclosure(Fraction(0))
+    with pytest.raises(ValueError, match="witness bound"):
+        nt.is_prime(nt._MR_BOUND)

@@ -762,6 +762,38 @@ def test_solution_from_text_fuzz_raises_only_format_or_validation_errors(lines):
         pass
 
 
+@pytest.mark.parametrize(
+    "make, code",
+    [
+        (lambda: pt.DiophBlock(("a", "b"), (1,)), "block-shape"),
+        (lambda: pt.DiophBlock(("a", "b"), (1, 0)), "block-u"),
+        (lambda: pt.DiophBlock(("a", "b"), (2, 4)), "block-gcd"),
+        (lambda: pt.DiophSystem(9, _ones_system(7, 3).blocks), "p-prime"),
+        (lambda: pt.DiophSystem(7, ()), "no-blocks"),
+        (lambda: pt.MultiplicityAssignment(7, {"E1": 7}), "nu-range"),
+        (lambda: pt.validate_solution(
+            _ones_system(7, 3), pt.PartitionSolution(11, {"c0": 1})), "p-mismatch"),
+        (lambda: pt.validate_solution(
+            _ones_system(7, 3), pt.PartitionSolution(7, {"c0": 5, "c1": 1})), "mu-missing"),
+        (lambda: pt.validate_solution(
+            _ones_system(7, 3),
+            pt.PartitionSolution(7, {"c0": 5, "c1": 1, "c2": 1, "x": 1})), "mu-extra"),
+    ],
+    ids=["block-shape", "block-u", "block-gcd", "p-prime", "no-blocks", "nu-range",
+         "p-mismatch", "mu-missing", "mu-extra"],
+)
+def test_system_and_solution_checks_raise_their_codes(make, code):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.code == code
+
+
+def test_partition_file_duplicate_p_line():
+    sysd = _ones_system(7, 3)
+    with pytest.raises(FileFormatError, match="line 2: duplicate p line"):
+        pt.solution_from_text(sysd, "p 7\np 7\nblock 5 1 1\n")
+
+
 def test_solution_validation_errors():
     sysd = _ones_system(7, 3)
     with pytest.raises(ValidationError):

@@ -1,12 +1,14 @@
-"""Every `rootcovers ...` line of README's "Command line" block exits 0."""
+"""Every `rootcovers ...` line of README's "Command line" block exits 0, and
+every budget README quotes equals the constant in the code."""
 
 import re
 import shlex
 from pathlib import Path
 
-from rootcovers import cli
+from rootcovers import arrangements, cli, covers, numth, partitions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+_MODULES = {m.__name__.split(".")[-1]: m for m in (numth, arrangements, partitions, covers)}
 
 
 def _command_lines() -> list[str]:
@@ -31,3 +33,18 @@ def test_readme_command_block(tmp_path, monkeypatch, capsys):
         assert code == 0, line
         ran += 1
     assert ran
+
+
+def test_readme_budgets_match_the_code():
+    # `MAX_NAME` = N or `module.MAX_NAME` = N, the value maybe on the next line
+    text = README.read_text(encoding="utf-8")
+    found = re.findall(r"`(?:(\w+)\.)?(MAX_\w+)` =\s+([\d,]+)", text)
+    assert len(found) >= 6
+    for module, name, value in found:
+        if module:
+            owners = [_MODULES[module]]
+        else:
+            owners = [m for m in _MODULES.values() if name in vars(m)]
+        assert owners, name
+        for owner in owners:
+            assert getattr(owner, name) == int(value.replace(",", "")), name
