@@ -5,7 +5,8 @@ The package is organized along the pipeline:
     numth         exact kernels (continued fractions, Dedekind sums, Farey sets)
     arrangements  combinatorial arrangements, generators, log resolution
     partitions    weighted partitions of a prime, sampling, multiplicities
-    covers        the invariant engine (chi, c1^2, c2) and experiments
+    covers        the invariant engine: report, the one evaluator of chi,
+                  c1^2 and c2 on a checked CoverSpec; convergence scans
     tables        built-in reference tables
     cli           command-line front end
 """
@@ -27,7 +28,7 @@ from .arrangements import (
     resolve,
     validate,
 )
-from .covers import ChernReport, CoverSpec, c1_sq, c2, chi, convergence_scan, report
+from .covers import ChernReport, CoverSpec, convergence_scan, report
 from .numth import (
     FareyConfig,
     PrimeModulus,

@@ -10,16 +10,20 @@ arithmetic functions of those residues, computed along independent routes:
     c1^2   <- canonical parts c(q, p), via continued-fraction expansions;
     c2     <- lengths l(q, p) of the same expansions.
 
-They are tied together by 12 chi = c1^2 + c2 and by the per-node identity
-c = 12 s + l, both verified on every evaluation; a failure of either is an
-internal bug, never bad input.  One node table is folded in exact integers
-(12p s and p c are integers), and each invariant must come out integral.
+`report` is the one evaluator.  A `CoverSpec` refuses cover data whose
+weighted branch divisor B = sum nu_i D_i has no p-th root (B.D_j must vanish
+mod p for every divisor D_j), so every evaluation is of a genuine cover.
+`report` folds one node table in exact integers (12p s and p c are
+integers) and checks 12 chi = c1^2 + c2, the per-node identity
+c = 12 s + l, and that each invariant comes out integral; a failure of any
+of them is an internal bug, never bad input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import median
 
 from .arrangements import (
     Arrangement,
@@ -28,7 +32,7 @@ from .arrangements import (
     log_chern_resolved,
     resolve,
 )
-from .errors import BudgetError, ConsistencyError, ExhaustedTries, NonIntegral
+from .errors import BudgetError, ConsistencyError, ExhaustedTries, NonIntegral, ValidationError
 from .numth import (
     DEFAULT_FAREY,
     FareyConfig,
@@ -41,7 +45,7 @@ from .partitions import (
     GoodnessReport,
     MultiplicityAssignment,
     is_good,
-    node_residues,
+    node_residues,  # not used here: bench/spans.py times it under this module
     sample_good,
     system_for,
 )
@@ -50,9 +54,6 @@ __all__ = [
     "CoverSpec",
     "ErrorTerms",
     "ChernReport",
-    "chi",
-    "c1_sq",
-    "c2",
     "report",
     "convergence_scan",
     "ScanSample",
@@ -75,9 +76,23 @@ class CoverSpec:
         PrimeModulus(self.p)  # raises unless p is a prime >= 3
         if self.nu.p != self.p:
             raise ValueError(f"assignment p={self.nu.p} differs from cover p={self.p}")
-        for div in self.resolved.divisors:
+        divisors = self.resolved.divisors
+        for div in divisors:
             if div.id not in self.nu.nu:
                 raise ValueError(f"divisor {div.id} has no multiplicity")
+        # B = sum nu_i D_i has a p-th root only if B.D_j = 0 mod p for every j
+        nu = [self.nu.nu[div.id] for div in divisors]
+        dots = [n * div.self_int for n, div in zip(nu, divisors)]
+        for (i, j), count in self.resolved.nodes.items():
+            dots[i] += count * nu[j]
+            dots[j] += count * nu[i]
+        for div, dot in zip(divisors, dots):
+            if dot % self.p:
+                raise ValidationError(
+                    "no-root",
+                    f"B.{div.id} = {dot} is not 0 mod {self.p}: the branch divisor "
+                    f"sum nu_i D_i has no {self.p}-th root",
+                )
 
 
 @dataclass(frozen=True)
@@ -123,24 +138,22 @@ def _fold(nodes, p: int) -> ErrorTerms:
     return ErrorTerms(p, scf_num, ccf_num, lcf)
 
 
-def _error_terms(spec: CoverSpec) -> ErrorTerms:
-    return _fold(node_residues(spec.resolved, spec.nu), spec.p)
-
-
 def _as_int(value: Fraction, what: str) -> int:
     if value.denominator != 1:
         raise NonIntegral(f"{what} evaluated to the non-integer {value}")
     return int(value)
 
 
-def _invariants(spec: CoverSpec, terms: ErrorTerms) -> tuple[Fraction, Fraction, int]:
-    """(chi, c1^2, c2) before the integrality assertions.
+def _invariants(
+    ra: ResolvedArrangement, terms: ErrorTerms
+) -> tuple[Fraction, Fraction, int]:
+    """(chi, c1^2, c2) at p = terms.p, before the integrality assertions.
 
-    chi and c1^2 stay rational here: for invalid cover data (no p-th root
-    of the weighted divisor exists) they need not be integers.
+    chi and c1^2 stay rational here.  On a CoverSpec they are integers, so a
+    non-integer there is a bug; multiplicities with no p-th root of the
+    weighted divisor, which only a test can hand in, may give fractions.
     """
-    p = spec.p
-    ra = spec.resolved
+    p = terms.p
     lc = log_chern_resolved(ra)
     node_weight = ra.t2_total + 2 * ra.sum_genus_defect
     chi_num = 12 * p * p * ra.surface.chi - (p * p - 1) * ra.sum_self_int
@@ -148,21 +161,6 @@ def _invariants(spec: CoverSpec, terms: ErrorTerms) -> tuple[Fraction, Fraction,
     c1_num = p * p * lc.c1bar_sq - 2 * p * node_weight + ra.sum_self_int - terms.ccf_num
     c2_v = p * lc.c2bar - node_weight + terms.lcf
     return Fraction(chi_num, 12 * p), Fraction(c1_num, p), c2_v
-
-
-def chi(spec: CoverSpec) -> int:
-    """Holomorphic Euler characteristic of the cover (exact, integral)."""
-    return _as_int(_invariants(spec, _error_terms(spec))[0], "chi")
-
-
-def c1_sq(spec: CoverSpec) -> int:
-    """First Chern number of the cover (exact, integral)."""
-    return _as_int(_invariants(spec, _error_terms(spec))[1], "c1^2")
-
-
-def c2(spec: CoverSpec) -> int:
-    """Second Chern number (topological Euler number) of the cover."""
-    return _invariants(spec, _error_terms(spec))[2]
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,7 @@ def report(spec: CoverSpec) -> ChernReport:
     """
     goodness = is_good(spec.resolved, spec.nu, spec.farey)
     terms = _fold(goodness.nodes, spec.p)
-    chi_q, c1_q, c2_v = _invariants(spec, terms)
+    chi_q, c1_q, c2_v = _invariants(spec.resolved, terms)
     chi_v = _as_int(chi_q, "chi")
     c1_v = _as_int(c1_q, "c1^2")
     if 12 * chi_v != c1_v + c2_v:
@@ -278,14 +276,6 @@ def _mix_seed(seed: int, p: int, index: int) -> int:
     return (seed * 1_000_003 + p) * 1_000_003 + index
 
 
-def _median(values: list[Fraction]) -> Fraction:
-    ordered = sorted(values)
-    n = len(ordered)
-    if n % 2:
-        return ordered[n // 2]
-    return (ordered[n // 2 - 1] + ordered[n // 2]) / 2
-
-
 def convergence_scan(
     arrangement: Arrangement,
     primes,
@@ -351,7 +341,7 @@ def convergence_scan(
             skipped.append((p, str(exc)))
             continue
         samples.extend(collected)
-        med = _median(ratios)
+        med = median(ratios)
         summaries.append(
             ScanSummary(
                 p=p,

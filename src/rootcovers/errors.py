@@ -53,4 +53,8 @@ class ConsistencyError(RootCoversError):
 
 
 class NonIntegral(ConsistencyError):
-    """An invariant that must be an integer came out fractional."""
+    """An invariant that must be an integer came out fractional.
+
+    CoverSpec refuses cover data with no p-th root before any evaluation,
+    so this too is a bug, never bad input.
+    """

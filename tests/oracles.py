@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
-from rootcovers.arrangements import log_chern_resolved
+from rootcovers.arrangements import ResolvedArrangement, log_chern_resolved
 from rootcovers.covers import CoverSpec
 from rootcovers.errors import BudgetError, EmptySolutionSetError, ExceptionalVanishes
 from rootcovers.numth import (
@@ -20,7 +20,14 @@ from rootcovers.numth import (
     is_farey_neighbour,
     lt_sqrt_bound,
 )
-from rootcovers.partitions import GoodSample, _sample, assign, is_good, node_residues
+from rootcovers.partitions import (
+    GoodSample,
+    MultiplicityAssignment,
+    _sample,
+    assign,
+    is_good,
+    node_residues,
+)
 
 
 def ncf_convergents(e) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -73,7 +80,7 @@ def weighted_floor_sum(a: int, p: int) -> int:
 
 
 def floor_sum_oracle(
-    spec: CoverSpec, max_p: int = 10_000
+    ra: ResolvedArrangement, ma: MultiplicityAssignment, max_p: int = 10_000
 ) -> tuple[Fraction, Fraction]:
     """Recompute (chi, scf) from the raw bracket sums, no Dedekind machinery.
 
@@ -88,17 +95,16 @@ def floor_sum_oracle(
     node from S(a,a;p), S(b,b;p), S(a,b;p) alone.  O(p) per divisor pair,
     so gated by `max_p`.
 
-    Both values are returned as exact rationals: they equal chi(spec) and
-    the engine's scf whenever the multiplicities come from an actual
-    solution of the block system, and the rational equality holds for
-    arbitrary nu in (0, p) as well.
+    Both values are returned as exact rationals at p = ma.p: they equal the
+    report's chi and scf whenever the multiplicities come from an actual
+    solution of the block system, and the rational equality with the fold
+    (covers._invariants) holds for arbitrary nu in (0, p) as well.
     """
-    p = spec.p
+    p = ma.p
     if p > max_p:
         raise BudgetError(f"floor-sum oracle at p={p} exceeds the budget {max_p}")
-    ra = spec.resolved
     divisors = ra.divisors
-    nu = [spec.nu.nu[d.id] for d in divisors]
+    nu = [ma.nu[d.id] for d in divisors]
     pairs = sorted(ra.nodes.items())
 
     # chi from the quadratic floor-sum accumulation

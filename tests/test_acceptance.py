@@ -148,9 +148,8 @@ def test_criterion_5_oracle_equivalence():
             for _ in range(50):
                 sol = pt._sample(sysd, rnd)
                 ma = pt.assign(ra, sol)
-                spec = cv.CoverSpec(p, ra, ma)
-                chi_o, _ = floor_sum_oracle(spec)
-                if chi_o != cv.chi(spec):
+                chi_o, _ = floor_sum_oracle(ra, ma)
+                if chi_o != cv.report(cv.CoverSpec(p, ra, ma)).chi:
                     failures.append(("oracle", p, tuple(sol.mu.values())))
     _verdict(5, "brute = fast = chain Dedekind (p<=500); bracket-sum chi oracle", failures, started)
 

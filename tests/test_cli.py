@@ -7,7 +7,7 @@ import pytest
 
 from rootcovers import arrangements as ar
 from rootcovers import covers as cv
-from rootcovers import numth
+from rootcovers import numth, partitions
 from rootcovers.cli import (
     EXIT_BUDGET,
     EXIT_EXHAUSTED,
@@ -177,6 +177,26 @@ def test_invariants_needs_exactly_one_of_partition_and_seed(
     code = main(["invariants", "--arrangement", dual_hesse_file, "--p", "61169", *extra])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", [["--seed", "1"], ["--partition", "row.txt"]])
+def test_invariants_refuses_cover_data_with_no_pth_root(how, tmp_path, monkeypatch, capsys):
+    # three lines of one block with u = 97, 89, 83 pass validate, but every
+    # solution of 97 a + 89 b + 83 c = p leaves B = sum nu_i L_i with
+    # B.L1 = a + b + c, not 0 mod p: no cover exists, so this is bad input
+    monkeypatch.chdir(tmp_path)
+    three = ar.Arrangement(
+        ar.P2,
+        1,
+        tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, u) for i, u in enumerate((97, 89, 83), 1)),
+        tuple(ar.PointDecl(pair) for pair in (("L1", "L2"), ("L1", "L3"), ("L2", "L3"))),
+    )
+    ar.save(three, "three.json")
+    (tmp_path / "row.txt").write_text("p 10007\nblock 1 47 69\n")
+    code = main(["invariants", "--arrangement", "three.json", "--p", "10007", *how])
+    partitions._quasi_polynomials.cache_clear()  # 2,164,474 cells for --seed
+    assert code == EXIT_VALIDATION
+    assert "B.L1 = " in capsys.readouterr().err
 
 
 def test_invariants_exhausted(tmp_path, capsys):

@@ -14,7 +14,7 @@ from rootcovers import arrangements as ar
 from rootcovers import covers as cv
 from rootcovers import partitions as pt
 from rootcovers.cli import EXIT_OK, main
-from rootcovers.errors import BudgetError, ConsistencyError, ExceptionalVanishes, NonIntegral
+from rootcovers.errors import BudgetError, ConsistencyError, ExceptionalVanishes, ValidationError
 from rootcovers.numth import FareyConfig, dedekind_fast, is_prime, ncf_length, primes_between
 
 from oracles import floor_sum_oracle, floor_sum_S, fraction_report, weighted_floor_sum
@@ -33,10 +33,8 @@ def _dual_hesse_cover(p, parts):
 
 
 def test_dual_hesse_flagship_row():
-    spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
-    assert cv.chi(spec) == 181282
-    assert cv.c1_sq(spec) == 1441949
-    assert cv.c2(spec) == 733435
+    rep = cv.report(_dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133]))
+    assert (rep.chi, rep.c1_sq, rep.c2) == (181282, 1441949, 733435)
 
 
 def test_dual_hesse_equal_parts_row_near_1e12_is_fast():
@@ -125,15 +123,16 @@ def test_orientation_invariance():
 @pytest.mark.parametrize("p", [101, 1009])
 def test_example_closed_forms_general_lines(p):
     # weights (1, ..., 1, p - q) on r general lines admit closed forms for
-    # chi and c2; the engine must reproduce them for every q, r
+    # chi and c2; the engine must reproduce them for every q, r.  Only
+    # q = r - 1 is a cover, so the others go through the fold alone.
     for r in range(3, 9):
         lines = ar.gen_general_lines(r)
         rl = ar.resolve(lines)
         for q in range(1, r):
             nu = {f"L{i + 1}": 1 for i in range(r - 1)}
             nu[f"L{r}"] = p - q
-            spec = cv.CoverSpec(p, rl, pt.MultiplicityAssignment(p, nu))
-            terms = cv._error_terms(spec)
+            ma = pt.MultiplicityAssignment(p, nu)
+            terms = cv._fold(pt.node_residues(rl, ma), p)
             chi_closed = (
                 p
                 - Fraction((p * p - 1) * r, 12 * p)
@@ -141,16 +140,20 @@ def test_example_closed_forms_general_lines(p):
                 + Fraction((r - 1) * (r - 2) * (p - 1) * (p - 2), 24 * p)
                 + (r - 1) * dedekind_fast(p - q, p)
             )
-            assert cv._invariants(spec, terms)[0] == chi_closed
+            assert cv._invariants(rl, terms)[0] == chi_closed
             c2_closed = (
                 3 * p
                 + Fraction((1 - p) * r * (5 - r), 2)
                 + Fraction((r - 1) * (r - 2) * (p - 1), 2)
                 + (r - 1) * ncf_length(q, p)
             )
-            assert cv._invariants(spec, terms)[2] == c2_closed
+            assert cv._invariants(rl, terms)[2] == c2_closed
             if q == r - 1:  # the honest cover case: all integral
-                assert 12 * cv.chi(spec) == cv.c1_sq(spec) + cv.c2(spec)
+                rep = cv.report(cv.CoverSpec(p, rl, ma))
+                assert (rep.chi, rep.c2) == (chi_closed, c2_closed)
+            else:
+                with pytest.raises(ValidationError, match="th root"):
+                    cv.CoverSpec(p, rl, ma)
 
 
 def test_integrality_randomized():
@@ -178,15 +181,15 @@ def test_integrality_randomized():
         assert 12 * rep.chi == rep.c1_sq + rep.c2
 
 
-def test_nonintegral_signals_bug_for_invalid_nu():
-    # multiplicities that solve no block system break integrality; the
-    # engine flags that instead of rounding
-    tri = ar.gen_general_lines(3)
-    rt = ar.resolve(tri)
+def test_cover_spec_refuses_nu_with_no_pth_root():
+    # multiplicities that solve no block system leave B = sum nu_i D_i with
+    # no p-th root: B.L1 = 1 + 2 + 3 is not 0 mod 7.  That is bad input,
+    # refused before any evaluation, so a non-integer invariant is a bug
+    rt = ar.resolve(ar.gen_general_lines(3))
     ma = pt.MultiplicityAssignment(7, {"L1": 1, "L2": 2, "L3": 3})
-    spec = cv.CoverSpec(7, rt, ma)
-    with pytest.raises(NonIntegral):
-        cv.chi(spec)
+    with pytest.raises(ValidationError, match="B.L1 = 6 is not 0 mod 7") as info:
+        cv.CoverSpec(7, rt, ma)
+    assert info.value.code == "no-root"
 
 
 def test_floor_sum_identities():
@@ -230,27 +233,26 @@ def test_floor_sum_oracle_matches_engine():
             for _ in range(5):
                 sol = pt.sample_uniform(sysd, rnd.randrange(1 << 30))
                 ma = pt.assign(ra, sol)
-                spec = cv.CoverSpec(p, ra, ma)
-                chi_o, scf_o = floor_sum_oracle(spec)
-                assert chi_o == cv.chi(spec)
-                assert scf_o == cv._error_terms(spec).scf
+                rep = cv.report(cv.CoverSpec(p, ra, ma))
+                chi_o, scf_o = floor_sum_oracle(ra, ma)
+                assert chi_o == rep.chi
+                assert scf_o == rep.error_terms.scf
 
 
 def test_floor_sum_oracle_invalid_nu_rational():
     tri = ar.gen_general_lines(3)
     rt = ar.resolve(tri)
     ma = pt.MultiplicityAssignment(7, {"L1": 1, "L2": 2, "L3": 3})
-    spec = cv.CoverSpec(7, rt, ma)
-    chi_o, scf_o = floor_sum_oracle(spec)
-    terms = cv._error_terms(spec)
-    assert chi_o == cv._invariants(spec, terms)[0] == Fraction(5, 7)
+    chi_o, scf_o = floor_sum_oracle(rt, ma)
+    terms = cv._fold(pt.node_residues(rt, ma), 7)
+    assert chi_o == cv._invariants(rt, terms)[0] == Fraction(5, 7)
     assert scf_o == terms.scf
 
 
 def test_floor_sum_oracle_budget():
     spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
     with pytest.raises(BudgetError):
-        floor_sum_oracle(spec)
+        floor_sum_oracle(spec.resolved, spec.nu)
 
 
 def test_leading_term_scaling():
@@ -296,7 +298,7 @@ def test_weighted_block_cover_end_to_end():
             pt.validate_solution(sysd, sol)
             rep = cv.report(cv.CoverSpec(p, ra, pt.assign(ra, sol)))
             assert 12 * rep.chi == rep.c1_sq + rep.c2
-            chi_o, scf_o = floor_sum_oracle(cv.CoverSpec(p, ra, pt.assign(ra, sol)))
+            chi_o, scf_o = floor_sum_oracle(ra, pt.assign(ra, sol))
             assert chi_o == rep.chi
             assert scf_o == rep.error_terms.scf
 
@@ -385,6 +387,36 @@ def test_report_matches_fraction_fold_oracle(name, p, C, data):
     assert got == want
 
 
+_GENERATED = {
+    "ceva-3": ar.gen_ceva(3),
+    "ceva-5": ar.gen_ceva(5),
+    "underline-ceva-5": ar.gen_underline_ceva(5),
+    "pg2-5": ar.gen_pg2(5),
+    "general-lines-6": ar.gen_general_lines(6),
+    "p1xp1-3-4-5": ar.gen_p1xp1(3, 4, 5),
+    "conic-and-four-lines": _conic_and_four_lines(),
+}
+_GENERATED_RESOLVED = {name: ar.resolve(a) for name, a in _GENERATED.items()}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_GENERATED)),
+    p=st.sampled_from([10007, 61169, 1000003]),
+    seed=st.integers(0, 2**32),
+)
+def test_cover_spec_accepts_every_sampled_cover(name, p, seed):
+    # a uniform solution that assign accepts always leaves B = sum nu_i D_i
+    # with B.D_j = 0 mod p, so the p-th root check refuses no real cover
+    ra = _GENERATED_RESOLVED[name]
+    sol = pt.sample_uniform(pt.system_for(_GENERATED[name], p), seed)
+    try:
+        ma = pt.assign(ra, sol)
+    except ExceptionalVanishes:
+        assume(False)
+    cv.CoverSpec(p, ra, ma)
+
+
 def test_report_builds_one_node_table(monkeypatch):
     spec = _dual_hesse_cover(61169, [1, 29, 89, 269, 1019, 3469, 7919, 15859, 32515])
     calls = Counter()
@@ -421,7 +453,7 @@ def test_cover_spec_refuses_a_mismatched_or_partial_assignment():
 
 def test_report_raises_a_noether_mismatch(monkeypatch):
     spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
-    monkeypatch.setattr(cv, "_invariants", lambda spec, terms: (Fraction(1), Fraction(1), 1))
+    monkeypatch.setattr(cv, "_invariants", lambda ra, terms: (Fraction(1), Fraction(1), 1))
     with pytest.raises(ConsistencyError, match="independent routes disagree"):
         cv.report(spec)
 

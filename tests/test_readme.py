@@ -1,5 +1,5 @@
 """Every `rootcovers ...` line of README's "Command line" block exits 0, and
-every budget README quotes equals the constant in the code."""
+every budget and exit code README quotes equals the constant in the code."""
 
 import re
 import shlex
@@ -48,3 +48,19 @@ def test_readme_budgets_match_the_code():
         assert owners, name
         for owner in owners:
             assert getattr(owner, name) == int(value.replace(",", "")), name
+
+
+def test_readme_exit_codes_match_the_code():
+    # "- N <meaning>" under "Exit codes:", one item per cli.EXIT_* constant;
+    # EXIT_TABLE_MISMATCH must be described with "table mismatch", and so on
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"Exit codes:\n\n((?:- .*\n(?:  .*\n)*)+)", text).group(1)
+    listed = {int(code): meaning for code, meaning in re.findall(r"^- (\d+) (.*)$", block, re.M)}
+    codes = {
+        value: name.removeprefix("EXIT_").lower().replace("_", " ")
+        for name, value in vars(cli).items()
+        if name.startswith("EXIT_")
+    }
+    assert sorted(listed) == sorted(codes)
+    for value, words in codes.items():
+        assert words in listed[value].lower(), (value, listed[value])
