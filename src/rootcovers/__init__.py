@@ -31,7 +31,6 @@ from .arrangements import (
 from .covers import ChernReport, CoverSpec, convergence_scan, report
 from .numth import (
     FareyConfig,
-    PrimeModulus,
     bad_set,
     canonical_part,
     dedekind_brute,

@@ -102,6 +102,7 @@ def _manifest_lines(args, command: str, extra: dict | None = None) -> list[str]:
 
 
 def _cmd_arrangement(args) -> int:
+    out = _Output(args.out)
     if args.action == "generate":
         gen, nparams, names = _GENERATORS[args.kind]
         if len(args.params) != nparams:
@@ -109,17 +110,11 @@ def _cmd_arrangement(args) -> int:
                 "bad-params",
                 f"generator {args.kind} takes {nparams} parameter(s): {names}",
             )
-        a = gen(*args.params)
-        text = arr.to_text(a)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        out.emit(arr.to_text(gen(*args.params)).removesuffix("\n"))
+        out.finish()
         return EXIT_OK
 
     a = arr.load(args.arrangement)
-    out = _Output(args.out)
     if args.action == "validate":
         out.emit(f"arrangement {args.arrangement}: valid")
         out.emit(f"d={a.d} blocks={a.blocks} points={len(a.points)}")

@@ -36,9 +36,9 @@ from .errors import BudgetError, ConsistencyError, ExhaustedTries, NonIntegral, 
 from .numth import (
     DEFAULT_FAREY,
     FareyConfig,
-    PrimeModulus,
     _ncf_stats,
     dedekind_fast,
+    is_prime,
     lt_sqrt_bound,
 )
 from .partitions import (
@@ -73,7 +73,8 @@ class CoverSpec:
     farey: FareyConfig = DEFAULT_FAREY
 
     def __post_init__(self):
-        PrimeModulus(self.p)  # raises unless p is a prime >= 3
+        if self.p < 3 or not is_prime(self.p):
+            raise ValueError(f"modulus must be a prime >= 3, got {self.p}")
         if self.nu.p != self.p:
             raise ValueError(f"assignment p={self.nu.p} differs from cover p={self.p}")
         divisors = self.resolved.divisors

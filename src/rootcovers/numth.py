@@ -8,6 +8,9 @@ set is the images r * d^-1 mod p, O(C sqrt(p) log p + sqrt(p)).  Everything is
 exact: Python integers and `Fraction`, no floating point; sqrt(p) bounds are
 squared and log(p) bounds go through a rational enclosure of the logarithm.
 
+Primality is Miller-Rabin over one (base, psi_t) table: bases up to a prove
+every n < psi_t, and the last psi_t is the witness bound, so the two agree.
+
 Conventions
 -----------
 p is an odd prime, q an integer with 0 < q < p, and q' the inverse of q
@@ -28,7 +31,6 @@ from math import gcd, isqrt
 from .errors import BudgetError, ConsistencyError
 
 __all__ = [
-    "PrimeModulus",
     "NcfExpansion",
     "FareyConfig",
     "DEFAULT_FAREY",
@@ -54,9 +56,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Primality
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Miller-Rabin with the witnesses above is deterministic below this bound.
-_MR_BOUND = 3_317_044_064_679_887_385_961_981
+# (base, psi_t), psi_t the least strong pseudoprime to the first t bases (A014233)
+_WITNESSES = (
+    (2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751), (11, 2152302898747),
+    (13, 3474749660383), (17, 341550071728321), (19, 341550071728321),
+    (23, 3825123056546413051), (29, 3825123056546413051), (31, 3825123056546413051),
+    (37, 318665857834031151167461), (41, 3317044064679887385961981),
+)
+_MR_BOUND = _WITNESSES[-1][1]  # is_prime refuses n from here on
 # Widest [lo, hi] that primes_between will scan.
 MAX_PRIME_RANGE = 1_000_000
 # Longest negative-regular expansion that ncf_expand will store.
@@ -68,12 +75,14 @@ MAX_BADSET_MEMBERS = 1_000_000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (trial division + fixed-witness Miller-Rabin)."""
+    """Trial division, then Miller-Rabin base by base until a base's psi_t
+    exceeds n: the fewest bases proven for n.  Refuses n >= _MR_BOUND.
+    """
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
+    for a, _ in _WITNESSES:
+        if n % a == 0:
+            return n == a
     if n >= _MR_BOUND:
         raise ValueError(f"{n} exceeds the deterministic witness bound")
     d = n - 1
@@ -81,16 +90,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _SMALL_PRIMES:
+    for a, psi in _WITNESSES:
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 
@@ -105,17 +115,6 @@ def primes_between(lo: int, hi: int) -> list[int]:
             f"prime range {lo}-{hi} spans more than {MAX_PRIME_RANGE} integers"
         )
     return [n for n in range(lo, hi + 1) if is_prime(n)]
-
-
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A verified prime p >= 3."""
-
-    p: int
-
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"modulus must be a prime >= 3, got {self.p}")
 
 
 def _check_residue(q: int, p: int) -> None:

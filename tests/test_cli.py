@@ -342,6 +342,35 @@ def test_scan_nonprime_rejected(dual_hesse_file, capsys):
     assert code == EXIT_VALIDATION
 
 
+# psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+PSI_12 = "318665857834031151167461"
+
+
+def test_invariants_and_scan_refuse_psi_12(dual_hesse_file, capsys):
+    code = main([
+        "invariants", "--arrangement", dual_hesse_file, "--p", PSI_12, "--seed", "1",
+    ])
+    assert code == EXIT_VALIDATION
+    assert f"--p {PSI_12} is not prime" in capsys.readouterr().err
+    code = main([
+        "scan", "--arrangement", dual_hesse_file, "--primes", PSI_12,
+        "--samples", "1", "--seed", "1",
+    ])
+    assert code == EXIT_VALIDATION
+    assert f"{PSI_12} is not prime" in capsys.readouterr().err
+
+
+def test_invariants_refuses_p_past_the_witness_bound(dual_hesse_file, capsys):
+    code = main([
+        "invariants", "--arrangement", dual_hesse_file,
+        "--p", "3317044064679887385961981", "--seed", "1",
+    ])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "exceeds the deterministic witness bound" in err
+    assert "Traceback" not in err
+
+
 def test_badset_stats_and_list(capsys):
     assert main(["badset", "--p", "1009"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -441,6 +441,15 @@ def test_wrong_ncf_sum_breaks_the_error_term_identity(monkeypatch):
         cv.report(spec)
 
 
+def test_cover_spec_needs_a_prime_at_least_3():
+    # psi_12 = 399165290221 * 798330580441 passes the twelve bases 2..37
+    spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
+    assert cv.CoverSpec(61169, spec.resolved, spec.nu) == spec
+    for p in (2, 9, 318665857834031151167461):
+        with pytest.raises(ValueError, match=f"modulus must be a prime >= 3, got {p}$"):
+            cv.CoverSpec(p, spec.resolved, spec.nu)
+
+
 def test_cover_spec_refuses_a_mismatched_or_partial_assignment():
     spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
     with pytest.raises(ValueError, match="differs from cover p"):

@@ -56,12 +56,59 @@ def test_is_prime_basics():
     assert not nt.is_prime(3215031751)
 
 
-def test_prime_modulus_validation():
-    nt.PrimeModulus(61169)
-    with pytest.raises(ValueError):
-        nt.PrimeModulus(2)
-    with pytest.raises(ValueError):
-        nt.PrimeModulus(9)
+# a factorization of each psi_t (OEIS A014233), so each is plainly composite
+_PSI_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
+def _strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    return pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(r))
+
+
+def test_witness_table_entries_are_strong_pseudoprimes_to_their_bases():
+    # psi_t is composite and passes its first t bases, so a mistyped psi_t
+    # fails here; it passes base t+1 exactly when psi_{t+1} = psi_t
+    table = nt._WITNESSES
+    assert nt._MR_BOUND == table[-1][1] and len(table) == 13
+    assert [a for a, _ in table] == [a for a in range(2, 42) if nt.is_prime(a)]
+    for t, (_, psi) in enumerate(table, start=1):
+        factors = _PSI_FACTORS[psi]
+        assert math.prod(factors) == psi and all(1 < f < psi for f in factors)
+        assert all(_strong_probable_prime(psi, a) for a, _ in table[:t])
+        if t < len(table):
+            next_base, next_psi = table[t]
+            assert _strong_probable_prime(psi, next_base) == (next_psi == psi)
+    assert not _strong_probable_prime(nt._MR_BOUND, 43)
+
+
+def test_is_prime_rejects_every_certified_pseudoprime():
+    # psi_12 passes the twelve bases 2..37; only base 41 catches it
+    for _, psi in nt._WITNESSES[:-1]:
+        assert not nt.is_prime(psi), psi
+    assert not nt.is_prime(318665857834031151167461)
+
+
+def test_is_prime_matches_a_sieve_below_2e5():
+    n = 200_000
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(n - 1) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, n, d)))
+    assert [m for m in range(n) if nt.is_prime(m)] == [m for m in range(n) if sieve[m]]
 
 
 def test_mod_inverse_examples():
