@@ -530,7 +530,6 @@ class ArrangementDiagnostics:
     incidence_holds: bool
     pair_floor_holds: bool  # t_2 + (1/4) t_3 >= 3
     ratio_bound_holds: bool  # 3 c1bar^2 <= 8 c2bar
-    log_chern: LogChernNumbers
 
     @property
     def all_hold(self) -> bool:
@@ -556,7 +555,6 @@ def diagnostics(a: Arrangement) -> ArrangementDiagnostics:
         incidence_holds=lhs >= rhs,
         pair_floor_holds=pair_floor,
         ratio_bound_holds=3 * lc.c1bar_sq <= 8 * lc.c2bar,
-        log_chern=lc,
     )
 
 

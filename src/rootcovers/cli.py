@@ -160,26 +160,26 @@ def _partition_text(parts) -> str:
 def _cmd_invariants(args) -> int:
     if not is_prime(args.p):
         raise ValidationError("p-prime", f"--p {args.p} is not prime")
-    a = arr.load(args.arrangement)
-    resolved = arr.resolve(a)
     config = FareyConfig(args.C)
-    sysd = partitions.system_for(a, args.p)
-    tries = None
     if args.partition and args.seed is not None:
         raise ValidationError(
             "partition-or-seed", "give --partition FILE or --seed N, not both"
         )
+    if not args.partition and args.seed is None:
+        raise ValidationError("no-partition", "need --partition FILE or --seed N")
+    a = arr.load(args.arrangement)
+    resolved = arr.resolve(a)
+    sysd = partitions.system_for(a, args.p)
+    tries = None
     if args.partition:
         with open(args.partition, encoding="utf-8") as fh:
             sol = partitions.solution_from_text(sysd, fh.read())
         ma = partitions.assign(resolved, sol)
-    elif args.seed is not None:
+    else:
         good = partitions.sample_good(
             sysd, resolved, seed=args.seed, max_tries=args.max_tries, config=config
         )
         sol, ma, tries = good.solution, good.assignment, good.tries
-    else:
-        raise ValidationError("no-partition", "need --partition FILE or --seed N")
     rep = covers.report(covers.CoverSpec(args.p, resolved, ma, config))
     parts = tuple(
         tuple(sol.mu[cid] for cid in block.curve_ids) for block in sysd.blocks
@@ -236,9 +236,9 @@ def _cmd_invariants(args) -> int:
         out.emit(f"error bounds hold = {rep.bounds_ok}")
         if not rep.good:
             shown = ", ".join(
-                f"{i}-{j}: q={q}" for (i, j), q in rep.goodness.offending[:6]
+                f"{i}-{j}: q={q}" for (i, j), q in rep.offending[:6]
             )
-            more = len(rep.goodness.offending) - 6
+            more = len(rep.offending) - 6
             out.emit(f"offending nodes: {shown}" + (f" (+{more} more)" if more > 0 else ""))
     out.finish()
     return EXIT_OK
@@ -296,9 +296,9 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def _cmd_scan(args) -> int:
+    config = FareyConfig(args.C)
     a = arr.load(args.arrangement)
     primes = _parse_primes(args.primes)
-    config = FareyConfig(args.C)
     result = covers.convergence_scan(
         a,
         primes,

@@ -42,7 +42,6 @@ from .numth import (
     lt_sqrt_bound,
 )
 from .partitions import (
-    GoodnessReport,
     MultiplicityAssignment,
     is_good,
     node_residues,  # not used here: bench/spans.py times it under this module
@@ -173,7 +172,7 @@ class ChernReport:
     ratio_chi: Fraction
     error_terms: ErrorTerms
     good: bool
-    goodness: GoodnessReport
+    offending: tuple[tuple[tuple[str, str], int], ...]  # (divisor pair, q) in the bad set
     bounds_ok: bool
     n_nodes: int
 
@@ -188,7 +187,7 @@ def _bounds_ok(terms: ErrorTerms, n_nodes: int, p: int) -> bool:
 
 
 def report(spec: CoverSpec) -> ChernReport:
-    """Full evaluation: invariants, ratios, goodness, error-term bounds.
+    """Full evaluation: invariants, ratios, goodness verdict, error-term bounds.
 
     With the default C = 1 and p >= 17, a good assignment must satisfy
     |scf| < N(3 sqrt p + 5), lcf < N(3 sqrt p + 2), |ccf| < N(6 sqrt p + 7)
@@ -219,7 +218,7 @@ def report(spec: CoverSpec) -> ChernReport:
         ratio_chi=Fraction(c1_v, chi_v),
         error_terms=terms,
         good=goodness.good,
-        goodness=goodness,
+        offending=goodness.offending,
         bounds_ok=bounds,
         n_nodes=n_nodes,
     )
@@ -229,9 +228,11 @@ def report(spec: CoverSpec) -> ChernReport:
 # Convergence experiments
 
 # Most samples (primes x samples per prime) one convergence_scan may hold.
-# On dual Hesse at 1000003 a sample costs about 1.8 ms and 9.5 KB (scans of
-# 2,000 and 6,000 samples on a 2-core x86-64 host with Python 3.11), so the
-# largest accepted scan takes about 55 s and 300 MB.
+# On dual Hesse at 1000003 a sample costs about 1.1-1.6 ms and 1.3 KB held
+# (tracemalloc and peak RSS over scans of 2,000 and 6,000 samples on a
+# shared 2-core x86-64 host with Python 3.11), so the largest accepted scan
+# takes about 35-50 s and 40 MB.  A report keeps no node table, so pg2(7),
+# with 456 nodes to dual Hesse's 36, holds about 3.2 KB a sample.
 MAX_SCAN_SAMPLES = 30_000
 # Most node checks (primes x max_tries x nodes) one convergence_scan may
 # spend when every prime exhausts its tries and is skipped.  Such scans just

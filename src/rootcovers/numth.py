@@ -420,4 +420,4 @@ def badset_bound_holds(
             return True
         if count * count > bound_sq * hi * hi:
             return False
-    raise ArithmeticError("log enclosure failed to separate (unreachable)")
+    raise ConsistencyError("log enclosure failed to separate (unreachable)")

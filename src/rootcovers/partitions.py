@@ -32,6 +32,7 @@ from math import comb, factorial, gcd, lcm
 from .arrangements import Arrangement, ResolvedArrangement
 from .errors import (
     BudgetError,
+    ConsistencyError,
     EmptySolutionSetError,
     ExceptionalVanishes,
     ExhaustedTries,
@@ -339,7 +340,7 @@ def _sample_block(u: tuple[int, ...], target: int, rng: random.Random) -> list[i
     if h < k:
         return parts + _draw_ones(rem, k - h, rng)
     if rem % u[-1] or rem < u[-1]:
-        raise AssertionError("remainder not attainable; counts inconsistent")
+        raise ConsistencyError("remainder not attainable; suffix counts inconsistent")
     parts.append(rem // u[-1])
     return parts
 

@@ -1,5 +1,6 @@
 """Command-line front end: flows, determinism, exit codes."""
 
+import dataclasses
 import json
 from time import perf_counter
 
@@ -427,6 +428,63 @@ def test_wrong_ncf_sum_exits_as_internal_error(dual_hesse_file, tmp_path, monkey
     ])
     assert code == EXIT_INTERNAL
     assert "error-term identity" in capsys.readouterr().err
+
+
+def test_inconsistent_suffix_counts_exit_as_internal_error(tmp_path, monkeypatch, capsys):
+    # u = (1, 2, 3) has no all-ones tail, so the sampler's last part is the
+    # remainder over u = 3; a level shifted by one leaves one it cannot take
+    monkeypatch.chdir(tmp_path)
+    three = ar.Arrangement(
+        ar.P2,
+        1,
+        tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, u) for i, u in enumerate((1, 2, 3), 1)),
+        tuple(ar.PointDecl(pair) for pair in (("L1", "L2"), ("L1", "L3"), ("L2", "L3"))),
+    )
+    ar.save(three, "three.json")
+    real = partitions._quasi_polynomials
+
+    def shifted(u):
+        first, second, *rest = real(u)
+        return (first, dataclasses.replace(second, sigma=second.sigma + 1), *rest)
+
+    monkeypatch.setattr(partitions, "_quasi_polynomials", shifted)
+    code = main(["invariants", "--arrangement", "three.json", "--p", "10007", "--seed", "1"])
+    assert code == EXIT_INTERNAL
+    assert "remainder not attainable" in capsys.readouterr().err
+
+
+def test_undecided_badset_bound_exits_as_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(numth, "log_enclosure", lambda x, terms: (0, 10**9))
+    assert main(["badset", "--p", "1009"]) == EXIT_INTERNAL
+    assert "failed to separate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["invariants", "--p", "61169", "--partition", "x", "--seed", "1"], "not both"),
+        (["invariants", "--p", "61169"], "need --partition"),
+        (["invariants", "--p", "61169", "--seed", "1", "--C", "0"], "C must be positive"),
+        (["scan", "--primes", "61169", "--seed", "1", "--C", "0"], "C must be positive"),
+    ],
+    ids=["both", "neither", "invariants-C", "scan-C"],
+)
+def test_flags_are_checked_before_the_arrangement_is_read(argv, message, tmp_path, capsys):
+    code = main([*argv, "--arrangement", str(tmp_path / "missing.json")])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_scan_checks_C_before_parsing_primes(dual_hesse_file, monkeypatch, capsys):
+    # a range of primes can take up to 10^6 primality tests to parse
+    ranges = []
+    monkeypatch.setattr(numth, "primes_between", lambda lo, hi: ranges.append((lo, hi)) or [])
+    code = main([
+        "scan", "--arrangement", dual_hesse_file, "--primes", "2-1000000",
+        "--seed", "1", "--C", "0",
+    ])
+    assert code == EXIT_VALIDATION and ranges == []
+    assert "C must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", ["4", "1", "0", "-5", "3027"])

@@ -1,8 +1,10 @@
 """Invariant engine: exact chi, c1^2, c2, error terms, oracle, scans."""
 
+import gc
 import random
 import time
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -381,7 +383,7 @@ def test_report_matches_fraction_fold_oracle(name, p, C, data):
         "chi": rep.chi, "c1_sq": rep.c1_sq, "c2": rep.c2,
         "ratio_c": rep.ratio_c, "ratio_chi": rep.ratio_chi,
         "scf": rep.error_terms.scf, "ccf": rep.error_terms.ccf, "lcf": rep.error_terms.lcf,
-        "good": rep.good, "offending": rep.goodness.offending,
+        "good": rep.good, "offending": rep.offending,
         "bounds_ok": rep.bounds_ok, "n_nodes": rep.n_nodes,
     }
     assert got == want
@@ -427,10 +429,32 @@ def test_report_builds_one_node_table(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
-    rep = cv.report(spec)
+    cv.report(spec)
     nodes = len(spec.resolved.nodes)
-    assert len(rep.goodness.nodes) == nodes
     assert calls == {"node_residues": 1, "_ncf_stats": nodes, "dedekind_fast": nodes}
+
+
+def test_report_keeps_the_offending_nodes_of_is_good():
+    spec = _dual_hesse_cover(61169, [1, 29, 89, 269, 1019, 3469, 7919, 15859, 32515])
+    rep = cv.report(spec)
+    assert not rep.good
+    assert rep.offending == pt.is_good(spec.resolved, spec.nu, spec.farey).offending
+
+
+def test_scan_result_holds_no_node_table():
+    # a report keeps its verdict, not the node table it was read from, so
+    # what a scan holds per sample does not grow with the node count
+    result = cv.convergence_scan(ar.gen_ceva(3), [10103, 61169], samples_per_prime=3, seed=1)
+    assert len(result.samples) == 6
+    seen, stack, tables = set(), [result], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        tables += isinstance(obj, pt.NodeResidue)
+        stack.extend(gc.get_referents(obj))
+    assert tables == 0
 
 
 def test_wrong_ncf_sum_breaks_the_error_term_identity(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootcovers import numth as nt
-from rootcovers.errors import BudgetError
+from rootcovers.errors import BudgetError, ConsistencyError
 
 from oracles import bad_set_enumeration, farey_convergent_walk, ncf_convergents
 
@@ -359,6 +359,13 @@ def test_bad_set_examples_and_bound():
     assert not nt.badset_bound_holds(264, 1009)
     assert nt.badset_bound_holds(395, 1009, nt.FareyConfig(Fraction(3, 2)))
     assert not nt.badset_bound_holds(396, 1009, nt.FareyConfig(Fraction(3, 2)))
+
+
+def test_an_undecided_badset_bound_is_a_consistency_error(monkeypatch):
+    # log(4p) is irrational, so only a broken enclosure leaves the bound undecided
+    monkeypatch.setattr(nt, "log_enclosure", lambda x, terms: (0, 10**9))
+    with pytest.raises(ConsistencyError, match="failed to separate"):
+        nt.badset_bound_holds(263, 1009)
 
 
 def test_bad_set_budget(monkeypatch):

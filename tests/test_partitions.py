@@ -1,5 +1,6 @@
 """Counting, exact-uniform sampling, multiplicities, goodness."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,6 +15,7 @@ from rootcovers import arrangements as ar
 from rootcovers import partitions as pt
 from rootcovers.errors import (
     BudgetError,
+    ConsistencyError,
     EmptySolutionSetError,
     ExceptionalVanishes,
     ExhaustedTries,
@@ -247,6 +249,20 @@ def test_sample_block_matches_linear_scan_oracle(u, p, seed):
         return
     assert parts == dp_sample_block(u, p, want)
     assert got.random() == want.random()  # same randrange calls, draw for draw
+
+
+def test_inconsistent_suffix_counts_are_a_consistency_error(monkeypatch):
+    # a level that counts from the wrong offset draws parts that leave the
+    # last weight a remainder it cannot take: a bug, never bad input
+    real = pt._quasi_polynomials
+
+    def shifted(u):
+        first, second, *rest = real(u)
+        return (first, dataclasses.replace(second, sigma=second.sigma + 1), *rest)
+
+    monkeypatch.setattr(pt, "_quasi_polynomials", shifted)
+    with pytest.raises(ConsistencyError, match="remainder not attainable"):
+        pt._sample_block((1, 2, 3), 10007, random.Random(1))
 
 
 @settings(derandomize=True, deadline=None)
