@@ -51,6 +51,7 @@ __all__ = [
     "gen_pg2",
     "gen_underline_ceva",
     "gen_p1xp1",
+    "GENERATORS",
     "diagnostics",
     "to_text",
     "from_text",
@@ -517,6 +518,16 @@ def gen_p1xp1(d1: int, d2: int, d3: int) -> Arrangement:
         points.append(PointDecl((f"C{k}", f"C{l}")))
         points.append(PointDecl((f"C{k}", f"C{l}")))
     return Arrangement(P1xP1, 3, tuple(curves), tuple(points), line_arrangement=False)
+
+
+# The built-in generators by CLI name, also a reference table's generator.kind
+GENERATORS = {
+    "general-lines": gen_general_lines,
+    "ceva": gen_ceva,
+    "pg2": gen_pg2,
+    "underline-ceva": gen_underline_ceva,
+    "p1xp1": gen_p1xp1,
+}
 
 
 # ---------------------------------------------------------------------------

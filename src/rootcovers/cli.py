@@ -19,6 +19,7 @@ bug, never bad input).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from fractions import Fraction
 
@@ -40,14 +41,6 @@ EXIT_BUDGET = 3
 EXIT_EXHAUSTED = 4
 EXIT_TABLE_MISMATCH = 5
 EXIT_INTERNAL = 6
-
-_GENERATORS = {
-    "general-lines": (arr.gen_general_lines, 1, "d"),
-    "ceva": (arr.gen_ceva, 1, "m"),
-    "pg2": (arr.gen_pg2, 1, "m"),
-    "underline-ceva": (arr.gen_underline_ceva, 1, "m"),
-    "p1xp1": (arr.gen_p1xp1, 3, "d1 d2 d3"),
-}
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -89,7 +82,7 @@ def _manifest_lines(args, command: str, extra: dict | None = None) -> list[str]:
     }
     for key in ("arrangement", "p", "partition", "seed", "C", "samples",
                 "max_tries", "primes", "out"):
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             entries[key] = value
     if extra:
@@ -104,11 +97,12 @@ def _manifest_lines(args, command: str, extra: dict | None = None) -> list[str]:
 def _cmd_arrangement(args) -> int:
     out = _Output(args.out)
     if args.action == "generate":
-        gen, nparams, names = _GENERATORS[args.kind]
-        if len(args.params) != nparams:
+        gen = arr.GENERATORS[args.kind]
+        names = inspect.signature(gen).parameters
+        if len(args.params) != len(names):
             raise ValidationError(
                 "bad-params",
-                f"generator {args.kind} takes {nparams} parameter(s): {names}",
+                f"generator {args.kind} takes {len(names)} parameter(s): {' '.join(names)}",
             )
         out.emit(arr.to_text(gen(*args.params)).removesuffix("\n"))
         out.finish()
@@ -167,6 +161,8 @@ def _cmd_invariants(args) -> int:
         )
     if not args.partition and args.seed is None:
         raise ValidationError("no-partition", "need --partition FILE or --seed N")
+    if args.seed is not None and args.max_tries < 1:
+        raise ValueError("max_tries must be >= 1")
     a = arr.load(args.arrangement)
     resolved = arr.resolve(a)
     sysd = partitions.system_for(a, args.p)
@@ -181,9 +177,7 @@ def _cmd_invariants(args) -> int:
         )
         sol, ma, tries = good.solution, good.assignment, good.tries
     rep = covers.report(covers.CoverSpec(args.p, resolved, ma, config))
-    parts = tuple(
-        tuple(sol.mu[cid] for cid in block.curve_ids) for block in sysd.blocks
-    )
+    parts = partitions.solution_parts(sysd, sol)
 
     out = _Output(args.out)
     manifest = _manifest_lines(args, "invariants", {"tries": tries})
@@ -297,6 +291,10 @@ def _parse_primes(text: str) -> list[int]:
 
 def _cmd_scan(args) -> int:
     config = FareyConfig(args.C)
+    if args.samples < 1:
+        raise ValueError(f"need at least 1 sample per prime, got {args.samples}")
+    if args.max_tries < 1:
+        raise ValueError("max_tries must be >= 1")
     a = arr.load(args.arrangement)
     primes = _parse_primes(args.primes)
     result = covers.convergence_scan(
@@ -422,9 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     pa = sub.add_parser("arrangement", help="generate, inspect, or validate arrangement files")
+    pa.set_defaults(run=_cmd_arrangement)
     pa_sub = pa.add_subparsers(dest="action", required=True)
     pg = pa_sub.add_parser("generate", help="write a built-in arrangement")
-    pg.add_argument("kind", choices=sorted(_GENERATORS))
+    pg.add_argument("kind", choices=sorted(arr.GENERATORS))
     pg.add_argument("params", nargs="*", type=int)
     pg.add_argument("--out", default=None)
     for action in ("info", "validate"):
@@ -433,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         px.add_argument("--out", default=None)
 
     pi = sub.add_parser("invariants", help="exact invariants of one cover")
+    pi.set_defaults(run=_cmd_invariants)
     pi.add_argument("--arrangement", required=True)
     pi.add_argument("--p", type=int, required=True)
     pi.add_argument("--partition", default=None, help="partition file")
@@ -443,10 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--out", default=None)
 
     pt = sub.add_parser("tables", help="re-run a built-in reference table")
+    pt.set_defaults(run=_cmd_tables)
     pt.add_argument("which", choices=tables.TABLE_NAMES)
     pt.add_argument("--out", default=None)
 
     ps = sub.add_parser("scan", help="good-sample ratio scan across primes")
+    ps.set_defaults(run=_cmd_scan)
     ps.add_argument("--arrangement", required=True)
     ps.add_argument("--primes", required=True,
                     help="comma list; ranges like 80-110 take all primes inside")
@@ -457,12 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default=None)
 
     pb = sub.add_parser("badset", help="Farey bad-set statistics")
+    pb.set_defaults(run=_cmd_badset)
     pb.add_argument("--p", type=int, required=True)
     pb.add_argument("--C", type=_parse_rational, default=Fraction(1))
     pb.add_argument("--list", action="store_true")
     pb.add_argument("--out", default=None)
 
     pn = sub.add_parser("numth", help="debug access to the exact kernels")
+    pn.set_defaults(run=_cmd_numth)
     pn.add_argument(
         "op",
         choices=(
@@ -476,21 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "arrangement": _cmd_arrangement,
-    "invariants": _cmd_invariants,
-    "tables": _cmd_tables,
-    "scan": _cmd_scan,
-    "badset": _cmd_badset,
-    "numth": _cmd_numth,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.cmd](args)
+        return args.run(args)
     except BudgetError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -32,7 +32,14 @@ from .arrangements import (
     log_chern_resolved,
     resolve,
 )
-from .errors import BudgetError, ConsistencyError, ExhaustedTries, NonIntegral, ValidationError
+from .errors import (
+    BudgetError,
+    ConsistencyError,
+    EmptySolutionSetError,
+    ExhaustedTries,
+    NonIntegral,
+    ValidationError,
+)
 from .numth import (
     DEFAULT_FAREY,
     FareyConfig,
@@ -46,6 +53,7 @@ from .partitions import (
     is_good,
     node_residues,  # not used here: bench/spans.py times it under this module
     sample_good,
+    solution_parts,
     system_for,
 )
 
@@ -290,11 +298,13 @@ def convergence_scan(
 
     Deterministic in `seed`: sample k at prime p uses the derived seed
     (seed * 1000003 + p) * 1000003 + k.  A prime where sampling exhausts
-    its tries is skipped with a record.  More than MAX_SCAN_SAMPLES samples
-    in all, or more than MAX_SCAN_NODE_CHECKS node checks as primes x
-    max_tries x nodes, are refused before the first draw.  That product is
-    the cost if every prime is skipped at its first sample; later samples
-    are bounded only per call, by sample_good's MAX_SAMPLING_NODES.
+    its tries, or with no positive solution (p below a block's minimal sum,
+    or a weighted block with none at p), is skipped with its reason.  More
+    than MAX_SCAN_SAMPLES samples in all, or more than MAX_SCAN_NODE_CHECKS
+    node checks as primes x max_tries x nodes, are refused before the first
+    draw.  That product is the cost if every prime is skipped at its first
+    sample; later samples are bounded only per call, by sample_good's
+    MAX_SAMPLING_NODES.
     """
     if samples_per_prime < 1:
         raise ValueError(f"need at least 1 sample per prime, got {samples_per_prime}")
@@ -329,17 +339,11 @@ def convergence_scan(
                 good = sample_good(
                     sysd, resolved, seed=sseed, max_tries=max_tries, config=config
                 )
-                spec = CoverSpec(p, resolved, good.assignment, config)
-                rep = report(spec)
-                parts = tuple(
-                    tuple(good.solution.mu[cid] for cid in block.curve_ids)
-                    for block in sysd.blocks
-                )
-                collected.append(
-                    ScanSample(p, k, sseed, good.tries, parts, rep)
-                )
+                rep = report(CoverSpec(p, resolved, good.assignment, config))
+                parts = solution_parts(sysd, good.solution)
+                collected.append(ScanSample(p, k, sseed, good.tries, parts, rep))
                 ratios.append(rep.ratio_c)
-        except ExhaustedTries as exc:
+        except (ExhaustedTries, EmptySolutionSetError) as exc:
             skipped.append((p, str(exc)))
             continue
         samples.extend(collected)

@@ -10,10 +10,10 @@ the sum of the mu over its point, reduced mod p into (0, p).  Sampling is
 exactly uniform over all positive solutions (sequential conditional
 sampling: a part before the block's all-ones tail bisects the prefix-count
 identity of the suffix counts, O(log p) probes, and a part of the tail
-inverts one binomial with an integer root and a few exact ratio steps),
-and a solution is "good" when none of its node residues p - nu_i' nu_j
-falls in the Farey bad set.  The rejection sampler stops a try at its
-first node in the bad set.
+inverts one binomial from an integer root that lies below it by AM-GM,
+then walks up by a few exact ratio steps), and a solution is "good" when
+none of its node residues p - nu_i' nu_j falls in the Farey bad set.  The
+rejection sampler stops a try at its first node in the bad set.
 
 The suffix counts of the levels before a block's all-ones tail (whose
 counts are binomial) are Sylvester's denumerants: quasi-polynomials in the
@@ -54,6 +54,7 @@ __all__ = [
     "sample_uniform",
     "validate_solution",
     "solution_from_parts",
+    "solution_parts",
     "assign",
     "node_residues",
     "is_good",
@@ -271,13 +272,13 @@ def _draw_ones(rem: int, ones: int, rng: random.Random) -> list[int]:
     With k + 1 parts left there are C(rem-1, k) solutions, and those whose
     next part exceeds M number C(rem-1-M, k).  For r = randrange of that
     total, the part is the smallest M with C(rem-1-M, k) < T = total - r,
-    so it is rem-1-n for the largest n with C(n, k) < T.  Since C(n, k) is
-    about (n - (k-1)/2)^k / k!, n starts at the integer k-th root of T k!
-    plus (k-1)//2, and exact ratio steps C(n-1, k) = C(n, k) (n-k) / n and
-    C(n+1, k) = C(n, k) (n+1) / (n+1-k) correct it (C(k, k) = 1 is taken
-    as it is: its ratio would divide by zero).  The next total C(n, k-1) is
-    one more ratio step, or 1 at n = k-1.  So math.comb runs once per part:
-    for the first total, and at the start of each drawn part's steps.
+    so it is rem-1-n for the largest n with C(n, k) < T.  The start n = k-1
+    or r + (k-1)//2, r the integer k-th root of T k! - 1, lies below T (by
+    AM-GM, C(n, k) <= (n - (k-1)/2)^k / k! <= r^k / k!), so the walk only
+    goes up, by exact steps C(n+1, k) = C(n, k) (n+1) / (n+1-k) (C(k, k) = 1
+    is taken as it is: its ratio would divide by zero).  The next total
+    C(n, k-1) is one more ratio step, or 1 at n = k-1.  So math.comb runs
+    once per part: for the first total, and at the start of each part.
     """
     parts = []
     k = ones - 1
@@ -285,18 +286,10 @@ def _draw_ones(rem: int, ones: int, rng: random.Random) -> list[int]:
     k_fact = factorial(k)
     while k:
         T = total - rng.randrange(total)
-        n = max(k - 1, _iroot(T * k_fact, k) + (k - 1) // 2)
+        n = max(k - 1, _iroot(T * k_fact - 1, k) + (k - 1) // 2)
         c = comb(n, k)
-        if c >= T:
-            while c >= T:
-                c = c * (n - k) // n
-                n -= 1
-        else:
-            while True:
-                up = c * (n + 1) // (n + 1 - k) if n >= k else 1
-                if up >= T:
-                    break
-                n, c = n + 1, up
+        while (up := c * (n + 1) // (n + 1 - k) if n >= k else 1) < T:
+            n, c = n + 1, up
         parts.append(rem - 1 - n)
         rem = n + 1
         total = c * k // (n + 1 - k) if n >= k else 1
@@ -400,6 +393,12 @@ def solution_from_parts(sys: DiophSystem, parts_per_block) -> PartitionSolution:
     sol = PartitionSolution(sys.p, mu)
     validate_solution(sys, sol)
     return sol
+
+
+def solution_parts(sys: DiophSystem, sol: PartitionSolution) -> tuple[tuple[int, ...], ...]:
+    """sol's parts per block, blocks and curves in sys order: the inverse of
+    solution_from_parts."""
+    return tuple(tuple(sol.mu[cid] for cid in block.curve_ids) for block in sys.blocks)
 
 
 def _sample(sys: DiophSystem, rng: random.Random) -> PartitionSolution:
@@ -578,9 +577,7 @@ def sample_good(
 def solution_to_text(sys: DiophSystem, sol: PartitionSolution) -> str:
     """Canonical text form: `p <prime>` then one `block ...` line per block."""
     lines = [f"p {sys.p}"]
-    for block in sys.blocks:
-        parts = " ".join(str(sol.mu[cid]) for cid in block.curve_ids)
-        lines.append(f"block {parts}")
+    lines += ["block " + " ".join(map(str, parts)) for parts in solution_parts(sys, sol)]
     return "\n".join(lines) + "\n"
 
 

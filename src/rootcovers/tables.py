@@ -1,10 +1,11 @@
 """Built-in reference tables and the machinery to re-run them.
 
-Each table bundles an arrangement generator, a prime (or one per row), and
-explicit partitions with their expected invariants.  `run_table` recomputes
-every row from scratch and reports computed vs expected; the CLI `tables`
-subcommand turns this into a PASS/FAIL listing with a nonzero exit status
-on any mismatch.
+Each table bundles an arrangement generator (its `kind` a key of
+`arrangements.GENERATORS`, its other keys that generator's parameters), a
+prime (or one per row), and explicit partitions with their expected
+invariants.  `run_table` recomputes every row from scratch and reports
+computed vs expected; the CLI `tables` subcommand turns this into a
+PASS/FAIL listing with a nonzero exit status on any mismatch.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .arrangements import Arrangement, gen_ceva, gen_underline_ceva, resolve
+from .arrangements import GENERATORS, resolve
 from .covers import CoverSpec, report, truncate_decimal
 from .partitions import assign, solution_from_parts, system_for
 
@@ -21,22 +22,12 @@ __all__ = ["TABLE_NAMES", "TableRow", "TableRun", "load_table", "run_table"]
 
 TABLE_NAMES = ("remark71a", "remark71b", "section10")
 
-_GENERATORS = {
-    "ceva": gen_ceva,
-    "underline_ceva": gen_underline_ceva,
-}
-
 
 def load_table(name: str) -> dict:
     if name not in TABLE_NAMES:
         raise ValueError(f"unknown table {name!r}; choose from {TABLE_NAMES}")
     text = resources.files("rootcovers.data").joinpath(f"{name}.json").read_text()
     return json.loads(text)
-
-
-def _build_arrangement(gen: dict) -> Arrangement:
-    kind = gen["kind"]
-    return _GENERATORS[kind](gen["m"])
 
 
 @dataclass(frozen=True)
@@ -59,7 +50,8 @@ class TableRun:
 def run_table(name: str) -> TableRun:
     """Recompute one reference table row by row."""
     doc = load_table(name)
-    arrangement = _build_arrangement(doc["generator"])
+    params = dict(doc["generator"])
+    arrangement = GENERATORS[params.pop("kind")](**params)
     resolved = resolve(arrangement)
     decimals = doc.get("decimals", 3)
     rows = []

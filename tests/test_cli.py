@@ -8,7 +8,7 @@ import pytest
 
 from rootcovers import arrangements as ar
 from rootcovers import covers as cv
-from rootcovers import numth, partitions
+from rootcovers import numth, partitions, tables
 from rootcovers.cli import (
     EXIT_BUDGET,
     EXIT_EXHAUSTED,
@@ -39,6 +39,31 @@ def test_generate_rejects_composite_pg2(capsys):
 
 def test_generate_param_count(capsys):
     assert main(["arrangement", "generate", "p1xp1", "3"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("general-lines", ["4"], "takes 1 parameter(s): d"),
+        ("ceva", ["3"], "takes 1 parameter(s): m"),
+        ("pg2", ["3"], "takes 1 parameter(s): m"),
+        ("underline-ceva", ["3"], "takes 1 parameter(s): m"),
+        ("p1xp1", ["3", "3", "3"], "takes 3 parameter(s): d1 d2 d3"),
+    ],
+)
+def test_every_generator_kind_resolves_in_one_registry(kind, params, message, capsys):
+    # the parameter names come from each generator's signature
+    gen = ar.GENERATORS[kind]
+    assert main(["arrangement", "generate", kind, *params]) == EXIT_OK
+    assert capsys.readouterr().out == ar.to_text(gen(*map(int, params)))
+    assert main(["arrangement", "generate", kind, *params, "3"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: generator {kind} {message}\n"
+
+
+def test_generator_registry_serves_the_cli_and_every_table():
+    assert sorted(ar.GENERATORS) == ["ceva", "general-lines", "p1xp1", "pg2", "underline-ceva"]
+    for name in tables.TABLE_NAMES:
+        assert tables.load_table(name)["generator"]["kind"] in ar.GENERATORS
 
 
 def test_generate_without_out_writes_to_stdout(capsys):
@@ -466,8 +491,15 @@ def test_undecided_badset_bound_exits_as_internal_error(monkeypatch, capsys):
         (["invariants", "--p", "61169"], "need --partition"),
         (["invariants", "--p", "61169", "--seed", "1", "--C", "0"], "C must be positive"),
         (["scan", "--primes", "61169", "--seed", "1", "--C", "0"], "C must be positive"),
+        (["invariants", "--p", "61169", "--seed", "1", "--max-tries", "0"],
+         "max_tries must be >= 1"),
+        (["scan", "--primes", "61169", "--seed", "1", "--samples", "0"],
+         "need at least 1 sample per prime, got 0"),
+        (["scan", "--primes", "61169", "--seed", "1", "--max-tries", "0"],
+         "max_tries must be >= 1"),
     ],
-    ids=["both", "neither", "invariants-C", "scan-C"],
+    ids=["both", "neither", "invariants-C", "scan-C", "invariants-max-tries",
+         "scan-samples", "scan-max-tries"],
 )
 def test_flags_are_checked_before_the_arrangement_is_read(argv, message, tmp_path, capsys):
     code = main([*argv, "--arrangement", str(tmp_path / "missing.json")])
@@ -485,6 +517,56 @@ def test_scan_checks_C_before_parsing_primes(dual_hesse_file, monkeypatch, capsy
     ])
     assert code == EXIT_VALIDATION and ranges == []
     assert "C must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--samples", "0"], "need at least 1 sample per prime, got 0"),
+        (["--max-tries", "0"], "max_tries must be >= 1"),
+    ],
+)
+def test_scan_checks_samples_and_tries_before_parsing_primes(
+    flag, message, dual_hesse_file, monkeypatch, capsys
+):
+    def forbidden(lo, hi):
+        pytest.fail(f"--primes range {lo}-{hi} parsed before the flags were checked")
+
+    monkeypatch.setattr(numth, "primes_between", forbidden)
+    code = main([
+        "scan", "--arrangement", dual_hesse_file, "--primes", "2-1000000",
+        "--seed", "1", *flag,
+    ])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_invariants_ignores_max_tries_with_a_partition_file(dual_hesse_file, tmp_path, capsys):
+    part = tmp_path / "row1.txt"
+    part.write_text("p 61169\nblock 1 2 3 4 5 6 7 8 61133\n")
+    code = main([
+        "invariants", "--arrangement", dual_hesse_file, "--p", "61169",
+        "--partition", str(part), "--max-tries", "0",
+    ])
+    assert code == EXIT_OK
+    assert "c1^2/c2" in capsys.readouterr().out
+
+
+def test_scan_skips_a_prime_with_no_solution(dual_hesse_file, tmp_path, capsys):
+    # 5 is below the dual Hesse block's minimal sum 9: the samples at 10103 stay
+    path = tmp_path / "s.csv"
+    argv = ["scan", "--arrangement", dual_hesse_file, "--samples", "2", "--seed", "7"]
+    assert main([*argv, "--primes", "10103,5", "--out", str(path)]) == EXIT_OK
+    summary = capsys.readouterr().out
+    assert "p=5 skipped: p=5 is below the minimal block sum 9" in summary
+    rows = [line for line in path.read_text().splitlines() if line[:1].isdigit()]
+    assert [row.split(",")[0] for row in rows] == ["10103", "10103"]
+    alone = tmp_path / "alone.csv"
+    assert main([*argv, "--primes", "10103", "--out", str(alone)]) == EXIT_OK
+    assert rows == [line for line in alone.read_text().splitlines() if line[:1].isdigit()]
+    assert main([*argv, "--primes", "2-20"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert all(f"p={p} skipped: p={p} is below" in err for p in (2, 3, 5, 7))
 
 
 @pytest.mark.parametrize("p", ["4", "1", "0", "-5", "3027"])

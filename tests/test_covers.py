@@ -522,6 +522,15 @@ def test_convergence_scan_skips_exhausted_primes():
     assert [s.p for s in result.summaries] == [61169]
 
 
+def test_convergence_scan_skips_a_prime_with_no_solution():
+    dh = ar.gen_ceva(3)
+    result = cv.convergence_scan(dh, [10103, 5], samples_per_prime=2, seed=7)
+    assert result.skipped == ((5, "p=5 is below the minimal block sum 9"),)
+    assert [s.p for s in result.summaries] == [10103]
+    alone = cv.convergence_scan(dh, [10103], samples_per_prime=2, seed=7)
+    assert result.samples == alone.samples
+
+
 def test_convergence_scan_rejects_degenerate():
     with pytest.raises(ValueError):
         cv.convergence_scan(ar.gen_general_lines(3), [61169], 1, seed=1)

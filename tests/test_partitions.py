@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
 from time import perf_counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -318,6 +319,40 @@ def test_ones_tail_inversion_matches_bisection(ones, extra, seed):
         got, want = random.Random(seed), random.Random(seed)
         assert pt._draw_ones(rem, ones, got) == bisect_ones(rem, ones, want)
         assert got.getstate() == want.getstate()
+
+
+class _TargetRecorder(random.Random):
+    """Records the target T = total - r of each randrange(total) draw."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.targets = []
+
+    def randrange(self, total):
+        r = super().randrange(total)
+        self.targets.append(total - r)
+        return r
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(2, 41), st.integers(0, 3 * 10**24), st.integers(0, 2**32))
+@example(2, 0, 0)
+@example(41, 3 * 10**24, 1)
+def test_ones_tail_walk_starts_below_its_target(ones, extra, seed):
+    # k = ones - 1, ..., 1 parts remain: by AM-GM each part's first C(n, k),
+    # the one math.comb call after the first total, lies below its target
+    values = []
+
+    def counted(n, k):
+        values.append(comb(n, k))
+        return values[-1]
+
+    rng = _TargetRecorder(seed)
+    with mock.patch.object(pt, "comb", counted):
+        pt._draw_ones(ones + extra, ones, rng)
+    starts = values[1:]
+    assert len(starts) == len(rng.targets) == ones - 1
+    assert all(c < T for c, T in zip(starts, rng.targets))
 
 
 def test_ones_tail_calls_comb_once_per_part(monkeypatch):
@@ -718,6 +753,18 @@ def test_empirical_bad_fraction_envelope():
         fraction = Fraction(bad, 200)
         envelope = 10 * math.sqrt(p) * math.log(4 * p) * n_pairs / p
         assert float(fraction) <= envelope
+
+
+def test_solution_parts_inverts_solution_from_parts():
+    a = ar.gen_p1xp1(3, 3, 3)
+    sysd = pt.system_for(a, 101)
+    parts = ((1, 2, 98), (3, 4, 94), (5, 6, 90))
+    sol = pt.solution_from_parts(sysd, parts)
+    assert pt.solution_parts(sysd, sol) == parts
+    for block, block_parts in zip(sysd.blocks, parts):  # sysd.blocks order
+        assert tuple(sol.mu[cid] for cid in block.curve_ids) == block_parts
+    sampled = pt.sample_uniform(sysd, seed=3)
+    assert pt.solution_from_parts(sysd, pt.solution_parts(sysd, sampled)) == sampled
 
 
 def test_partition_file_round_trip():
