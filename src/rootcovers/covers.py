@@ -13,10 +13,12 @@ arithmetic functions of those residues, computed along independent routes:
 `report` is the one evaluator.  A `CoverSpec` refuses cover data whose
 weighted branch divisor B = sum nu_i D_i has no p-th root (B.D_j must vanish
 mod p for every divisor D_j), so every evaluation is of a genuine cover.
-`report` folds one node table in exact integers (12p s and p c are
-integers) and checks 12 chi = c1^2 + c2, the per-node identity
-c = 12 s + l, and that each invariant comes out integral; a failure of any
-of them is an internal bug, never bad input.
+`report` walks the resolution's nodes once: each residue gets one Euclid
+pass (`numth._node_walk`), which feeds its Farey verdict, its NCF length
+and sum, and its reciprocity Dedekind sum.  It folds them in exact integers
+(12p s and p c are integers) and checks 12 chi = c1^2 + c2, the per-node
+identity c = 12 s + l, and that each invariant comes out integral; a
+failure of any of them is an internal bug, never bad input.
 """
 
 from __future__ import annotations
@@ -43,19 +45,22 @@ from .errors import (
 from .numth import (
     DEFAULT_FAREY,
     FareyConfig,
-    _ncf_stats,
-    dedekind_fast,
+    _farey_bounds,
+    _node_walk,
     is_prime,
     lt_sqrt_bound,
 )
 from .partitions import (
     MultiplicityAssignment,
-    is_good,
-    node_residues,  # not used here: bench/spans.py times it under this module
+    _node_table,
     sample_good,
     solution_parts,
     system_for,
 )
+
+# Not used here: bench/spans.py times these under this module.
+from .numth import _ncf_stats, dedekind_fast
+from .partitions import is_good, node_residues
 
 __all__ = [
     "CoverSpec",
@@ -133,17 +138,24 @@ class ErrorTerms:
         return Fraction(self.ccf_num, self.p)
 
 
-def _fold(nodes, p: int) -> ErrorTerms:
-    """Evaluate s, c, l per node (O(log p) each) and fold over the nodes."""
+def _fold(
+    ra: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig
+) -> tuple[ErrorTerms, tuple[tuple[tuple[str, str], int], ...]]:
+    """Walk each node residue once (_node_walk, O(log p)) and fold s, c, l
+    over the nodes; also return the (divisor pair, q) of every Farey hit."""
+    p = ma.p
+    droot, bound = _farey_bounds(p, config)
+    divisors = ra.divisors
+    offending = []
     scf_num = ccf_num = lcf = 0
-    for node in nodes:
-        q, count = node.q, node.count
-        length, e_sum = _ncf_stats(q, p)
-        s = dedekind_fast(q, p)
-        scf_num += count * s.numerator * (12 * p // s.denominator)
+    for (i, j), q, count in _node_table(ra, ma):
+        hit, f, length, e_sum = _node_walk(q, p, droot, bound)
+        if hit:
+            offending.append(((divisors[i].id, divisors[j].id), q))
+        scf_num += count * f
         ccf_num += count * (q + pow(q, -1, p) + p * (e_sum - 2 * length))
         lcf += count * length
-    return ErrorTerms(p, scf_num, ccf_num, lcf)
+    return ErrorTerms(p, scf_num, ccf_num, lcf), tuple(offending)
 
 
 def _as_int(value: Fraction, what: str) -> int:
@@ -197,13 +209,14 @@ def _bounds_ok(terms: ErrorTerms, n_nodes: int, p: int) -> bool:
 def report(spec: CoverSpec) -> ChernReport:
     """Full evaluation: invariants, ratios, goodness verdict, error-term bounds.
 
-    With the default C = 1 and p >= 17, a good assignment must satisfy
+    At p >= 17, an assignment good at C = 1 must satisfy
     |scf| < N(3 sqrt p + 5), lcf < N(3 sqrt p + 2), |ccf| < N(6 sqrt p + 7)
-    with N the node count; a violation there is raised as an internal
-    error.  For non-good assignments the bounds are reported only.
+    with N the node count.  The bad set only grows with C, so an assignment
+    good at any C >= 1 is good at C = 1, and a violation there is raised as
+    an internal error.  Otherwise (not good, or C < 1) the bounds are
+    reported only.
     """
-    goodness = is_good(spec.resolved, spec.nu, spec.farey)
-    terms = _fold(goodness.nodes, spec.p)
+    terms, offending = _fold(spec.resolved, spec.nu, spec.farey)
     chi_q, c1_q, c2_v = _invariants(spec.resolved, terms)
     chi_v = _as_int(chi_q, "chi")
     c1_v = _as_int(c1_q, "c1^2")
@@ -214,7 +227,7 @@ def report(spec: CoverSpec) -> ChernReport:
         )
     n_nodes = spec.resolved.t2_total
     bounds = _bounds_ok(terms, n_nodes, spec.p)
-    if goodness.good and not bounds and spec.p >= 17 and spec.farey.C == 1:
+    if not offending and not bounds and spec.p >= 17 and spec.farey.C >= 1:
         raise ConsistencyError(
             "a good assignment violated the square-root error bounds"
         )
@@ -225,8 +238,8 @@ def report(spec: CoverSpec) -> ChernReport:
         ratio_c=Fraction(c1_v, c2_v),
         ratio_chi=Fraction(c1_v, chi_v),
         error_terms=terms,
-        good=goodness.good,
-        offending=goodness.offending,
+        good=not offending,
+        offending=offending,
         bounds_ok=bounds,
         n_nodes=n_nodes,
     )
@@ -236,21 +249,21 @@ def report(spec: CoverSpec) -> ChernReport:
 # Convergence experiments
 
 # Most samples (primes x samples per prime) one convergence_scan may hold.
-# On dual Hesse at 1000003 a sample costs about 1.1-1.6 ms and 1.3 KB held
-# (tracemalloc and peak RSS over scans of 2,000 and 6,000 samples on a
+# On dual Hesse at 1000003 a sample costs about 0.75-1.0 ms and 1.3 KB held
+# (perf_counter and tracemalloc over scans of 2,000 and 6,000 samples on a
 # shared 2-core x86-64 host with Python 3.11), so the largest accepted scan
-# takes about 35-50 s and 40 MB.  A report keeps no node table, so pg2(7),
+# takes about 22-30 s and 40 MB.  A report keeps no node table, so pg2(7),
 # with 456 nodes to dual Hesse's 36, holds about 3.2 KB a sample.
 MAX_SCAN_SAMPLES = 30_000
 # Most node checks (primes x max_tries x nodes) one convergence_scan may
 # spend when every prime exhausts its tries and is skipped.  Such scans just
-# under the bound take 5.0-5.2 s and 25 MB for gen_ceva(80) at four primes
-# near 1e6 (51 tries each, about 1.3 us a check) and 6.3 s for dual Hesse at
-# primes 11-100 (5,291 tries each, about 1.6 us a check), on a shared 2-core
-# x86-64 host with Python 3.11: a rejected try stops at its first Farey hit.
-# The bound stays a worst case, since an accepted try checks every node
-# (about 6 us a node for gen_ceva(80) at 1000003, 29 us for dual Hesse at
-# 3e24+7, where each draw works on bigger integers).
+# under the bound take 3.7-4.9 s and 25 MB peak RSS for gen_ceva(80) at
+# four primes near 1e6 (51 tries each, about 1 us a check) and 3.8 s for
+# dual Hesse at primes 11-100 (5,291 tries each, about 1 us a check), on
+# the host above: a rejected try stops at its first Farey hit.  The bound
+# stays a worst case, since an accepted try checks every node (draw, assign
+# and Farey tests: about 3-5 us a node for gen_ceva(80) at 1000003, 14-26 us
+# for dual Hesse at 3e24+7, where each draw works on bigger integers).
 MAX_SCAN_NODE_CHECKS = 4_000_000
 
 

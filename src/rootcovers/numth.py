@@ -2,11 +2,17 @@
 
 Negative-regular continued fractions, Dedekind sums (three independent
 algorithms), regular continued-fraction totals, and the Farey bad set.
-NCF length and sum and regular totals read the quotients of one O(log p)
-Euclid pass over p/q (`_quotients`), Farey membership its remainders; the bad
-set is the images r * d^-1 mod p, O(C sqrt(p) log p + sqrt(p)).  Everything is
-exact: Python integers and `Fraction`, no floating point; sqrt(p) bounds are
-squared and log(p) bounds go through a rational enclosure of the logarithm.
+One O(log p) Euclid pass over p/q (`_euclid`) keeps its remainders and
+quotients, and every per-residue route reads it: NCF length and sum by the
+Hirzebruch-Jung conversion of the quotients (`_hj_stats`), 12p s(q, p) by
+reciprocity back up the remainders (`_reciprocity`), regular totals as the
+quotient sum.  A cover's node reads all three, Farey verdict included, off
+one pass (`_node_walk`); `is_farey_neighbour` alone walks the remainders
+lazily, stopping where the verdict is known.  The bad set is the images
+r * d^-1 mod p, O(C sqrt(p) log p + sqrt(p)).  Everything is exact: Python
+integers and `Fraction`, no floating point; sqrt(p) bounds go through isqrt
+or are squared, and log(p) bounds through a rational enclosure of the
+logarithm.
 
 Primality is Miller-Rabin over one (base, psi_t) table: bases up to a prove
 every n < psi_t, and the last psi_t is the witness bound, so the two agree.
@@ -184,23 +190,33 @@ def ncf_length(q: int, p: int) -> int:
     return _ncf_stats(q, p)[0]
 
 
-def _quotients(q: int, p: int) -> list[int]:
-    """Euclid quotients [a_0, a_1, ..., a_n] of p/q = a_0 + 1/(a_1 + ...)."""
-    out = []
+def _euclid(q: int, p: int) -> tuple[list[int], list[int]]:
+    """One Euclid pass over p/q = a_0 + 1/(a_1 + ...): the remainders
+    [p, q, r_1, ..., gcd(q, p), 0] and the quotients [a_0, ..., a_n],
+    a_k = r_(k-1) // r_k."""
+    rems, quots = [p, q], []
     while q:
-        out.append(p // q)
-        p, q = q, p % q
-    return out
+        a = p // q
+        p, q = q, p - a * q
+        quots.append(a)
+        rems.append(q)
+    return rems, quots
+
+
+def _hj_stats(a: list[int]) -> tuple[int, int]:
+    """(length, sum e_i) from the Euclid quotients a of p/q (Hirzebruch-Jung):
+    with n even (else a_n -> a_n - 1, 1, read here without copying a),
+    p/q = [a_0; ..., a_n] is [a_0+1, 2^(a_1-1), a_2+2, ..., 2^(a_(n-1)-1), a_n+1]
+    in negative-regular form."""
+    fix = 1 - len(a) % 2
+    n = len(a) - 1 + fix
+    twos = sum(a[1::2]) - fix - n // 2
+    return n // 2 + 1 + twos, sum(a[0::2]) + fix + n + 2 * twos
 
 
 def _ncf_stats(q: int, p: int) -> tuple[int, int]:
-    """(length, sum e_i): with n even (else a_n -> a_n - 1, 1), p/q = [a_0; ..., a_n]
-    is [a_0+1, 2^(a_1-1), a_2+2, ..., 2^(a_(n-1)-1), a_n+1] in negative-regular form."""
-    a = _quotients(q, p)
-    if len(a) % 2 == 0:
-        a[-1:] = [a[-1] - 1, 1]
-    n, twos = len(a) - 1, sum(a[1::2]) - len(a) // 2
-    return n // 2 + 1 + twos, sum(a[0::2]) + n + 2 * twos
+    """(length, sum e_i) of p/q, from one Euclid pass."""
+    return _hj_stats(_euclid(q, p)[1])
 
 
 def canonical_part(q: int, p: int) -> Fraction:
@@ -233,27 +249,30 @@ def dedekind_brute(q: int, p: int) -> Fraction:
     return Fraction(total, 4 * p * p)
 
 
-def dedekind_fast(q: int, p: int) -> Fraction:
-    """Dedekind sum via the reciprocity recursion, O(log p), in integers.
+def _reciprocity(rems: list[int]) -> int:
+    """12p s(q, p) from the remainders [p, q, ..., 0] of _euclid(q, p).
 
     f(a, b) = 12b s(a, b) is an integer, and reciprocity gives the exact step
     f(a, b) = (a^2 + b^2 + 1 - 3ab - b f(b mod a, a)) / a, taken back up the
-    Euclid chain of (q, p) from f(0, 1) = 0; a chain that ends at
-    gcd(q, p) > 1 is bad input, and a remainder is an internal error.
+    remainders from f(0, 1) = 0; a pass that ends at gcd(q, p) > 1 is bad
+    input, and a remainder of the division is an internal error.
     """
-    _check_residue(q, p)
-    chain, a, b = [], q, p
-    while a:
-        chain.append((a, b))
-        a, b = b % a, a
-    if b != 1:
-        raise ValueError(f"need gcd(q, p) = 1, got gcd({q}, {p}) = {b}")
-    f = 0
-    for a, b in reversed(chain):
+    if rems[-2] != 1:
+        raise ValueError(f"need gcd(q, p) = 1, got gcd({rems[1]}, {rems[0]}) = {rems[-2]}")
+    f, a = 0, 1
+    for b in rems[-3::-1]:  # (a, b) = (r_(k+1), r_k) from the last step up
         f, rem = divmod(a * (a - 3 * b) + b * (b - f) + 1, a)
         if rem:
             raise ConsistencyError(f"reciprocity step at ({a}, {b}) left remainder {rem}")
-    return Fraction(f, 12 * p)
+        a = b
+    return f
+
+
+def dedekind_fast(q: int, p: int) -> Fraction:
+    """Dedekind sum via the reciprocity recursion (_reciprocity), O(log p),
+    in integers."""
+    _check_residue(q, p)
+    return Fraction(_reciprocity(_euclid(q, p)[0]), 12 * p)
 
 
 def dedekind_from_ncf(q: int, p: int) -> Fraction:
@@ -276,7 +295,7 @@ def rcf_total(n: int, m: int) -> int:
         raise ValueError(f"need 0 < n < m, got n={n}, m={m}")
     if gcd(n, m) != 1:
         raise ValueError(f"{n}/{m} is not in lowest terms")
-    return sum(_quotients(n, m))
+    return sum(_euclid(n, m)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +326,47 @@ def is_farey_neighbour(q: int, p: int, config: FareyConfig = DEFAULT_FAREY) -> b
       Legendre's theorem every hit c/d is a convergent of q/p;
     - p <= 4C^2: every q is within C*sqrt(p) of 0 or p, and the first
       convergent catches it: 0/1 if q <= p/2, 1/1 if q > p/2 (a_1 = 1).
-    |q d_k - p c_k| = r_k, the Euclid remainder of p/q at convergent k, so r d denom(C)
-    <= num(C) sqrt(p) is decided exactly, squared; r = 0 hits before any division by 0.
+    |q d_k - p c_k| = r_k, the Euclid remainder of p/q at convergent k, and the
+    test is r d <= bound with d <= isqrt(p) (_farey_bounds); r = 0 hits before
+    any division by 0.  The walk is lazy: it stops where the verdict is known,
+    about halfway down a pass that _node_walk keeps whole.
     """
     if not 0 <= q < p:
         raise ValueError(f"need 0 <= q < p, got q={q}, p={p}")
-    cd, rhs = config.C.denominator, config.C.numerator ** 2 * p
+    droot, bound = _farey_bounds(p, config)
     r_prev, r, d_prev, d = p, q, 0, 1  # the walk opens with 0/1 at distance q
-    while d * d <= p:
-        lhs = r * d * cd
-        if lhs * lhs <= rhs:
-            return True
+    while d <= droot and r * d > bound:
         a = r_prev // r
         r_prev, r, d_prev, d = r, r_prev - a * r, d, a * d + d_prev
-    return False
+    return d <= droot
+
+
+def _farey_bounds(p: int, config: FareyConfig) -> tuple[int, int]:
+    """(isqrt(p), isqrt(num(C)^2 p) // den(C)): convergent c/d at remainder r
+    is a hit iff d <= isqrt(p) and r d <= the second.  Both are exact: d and
+    r d den(C) are integers, so d^2 <= p iff d <= isqrt(p), and
+    r d den(C) <= num(C) sqrt(p) iff r d den(C) <= isqrt(num(C)^2 p)."""
+    C = config.C
+    return isqrt(p), isqrt(C.numerator ** 2 * p) // C.denominator
+
+
+def _node_walk(q: int, p: int, droot: int, bound: int) -> tuple[bool, int, int, int]:
+    """(Farey hit, 12p s(q, p), NCF length, sum e_i) of a residue 0 < q < p
+    coprime to p, all from one Euclid pass; droot and bound are
+    _farey_bounds(p, config).
+
+    The verdict is is_farey_neighbour's, read off the stored pass: the
+    convergent denominators d_(k+1) = a_k d_k + d_(k-1) from 0/1, each with
+    its remainder r_k, up to d > droot; running out of remainders means
+    r = 0, a hit iff d <= droot.
+    """
+    rems, quots = _euclid(q, p)
+    d_prev, d = 0, 1
+    for r, a in zip(rems[1:], quots):
+        if d > droot or r * d <= bound:
+            break
+        d_prev, d = d, a * d + d_prev
+    return d <= droot, _reciprocity(rems), *_hj_stats(quots)
 
 
 def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:

@@ -13,7 +13,10 @@ identity of the suffix counts, O(log p) probes, and a part of the tail
 inverts one binomial from an integer root that lies below it by AM-GM,
 then walks up by a few exact ratio steps), and a solution is "good" when
 none of its node residues p - nu_i' nu_j falls in the Farey bad set.  The
-rejection sampler stops a try at its first node in the bad set.
+node residues come from one walk over the resolution's nodes
+(`_node_table`, one inverse per divisor, no NodeResidue), which the
+rejection sampler, `is_good`, `node_residues` and `covers.report` share;
+the sampler stops a try at its first node in the bad set.
 
 The suffix counts of the levels before a block's all-ones tail (whose
 counts are binomial) are Sylvester's denumerants: quasi-polynomials in the
@@ -73,12 +76,13 @@ __all__ = [
 # rounds of differences over up to L_j k_j entries, so (2, 1 x 1000), 2,002
 # cells, takes 0.6 s there, and (2, 1 x 2000), 4,002 cells, 3.6 s.
 # The node bound is the worst case, in which every try checks every node,
-# as an accepted try does: about 6 us a node for gen_ceva(80) and 8 us for
-# pg2(7) at 1000003, 29 us for dual Hesse at 3e24+7 (draw and assign
-# included; a shared 2-core host, about half as fast as the one above).  A
-# rejected try stops at its first Farey hit: there, 10 rejected tries of
-# gen_ceva(80) at 1000003 take 0.16-0.24 s, about three quarters of it the
-# draw, and one rejected dual-Hesse try at 3e24+7 with C = 10^11 170 us.
+# as an accepted try does: about 3-5 us a node for gen_ceva(80) and 4-8 us
+# for pg2(7) at 1000003, 14-26 us for dual Hesse at 3e24+7 (draw and assign
+# included; a shared 2-core host whose speed drifts about 2x from run to
+# run).  A rejected try stops at its first Farey hit: there, 10 rejected
+# tries of gen_ceva(80) at 1000003 take 0.18-0.26 s, about three quarters
+# of it the draw, and one rejected dual-Hesse try at 3e24+7 with C = 10^11
+# 160-230 us.
 MAX_SUFFIX_CELLS = 2_500_000
 MAX_SAMPLING_NODES = 1_000_000
 
@@ -473,17 +477,18 @@ class NodeResidue:
 
 
 def _node_table(resolved: ResolvedArrangement, ma: MultiplicityAssignment):
-    """Yield the NodeResidue of each intersecting divisor pair, lazily, in
-    node_residues order.  The resolution keeps the pairs in (i, j) order, so
-    each divisor's inverse nu_i' is computed once, at its first node."""
+    """Yield ((i, j), q, count) for each intersecting divisor pair, lazily,
+    in node_residues order, with divisor indices and no NodeResidue.  The
+    resolution keeps the pairs in (i, j) order, so each divisor's inverse
+    nu_i' is computed once, at its first node."""
     p, nu = ma.p, ma.nu
     divisors = resolved.divisors
     last = None
-    for (i, j), count in resolved.nodes.items():
+    for pair, count in resolved.nodes.items():
+        i, j = pair
         if i != last:
             last, inverse = i, pow(nu[divisors[i].id], -1, p)
-        q = p - inverse * nu[divisors[j].id] % p
-        yield NodeResidue((divisors[i].id, divisors[j].id), q, count)
+        yield pair, p - inverse * nu[divisors[j].id] % p, count
 
 
 def node_residues(
@@ -492,14 +497,17 @@ def node_residues(
     """q = p - nu_i' nu_j for every intersecting divisor pair, i < j in
     divisor order.  Swapping the orientation replaces q by its inverse mod
     p, which leaves every downstream quantity unchanged."""
-    return list(_node_table(resolved, ma))
+    divisors = resolved.divisors
+    return [
+        NodeResidue((divisors[i].id, divisors[j].id), q, count)
+        for (i, j), q, count in _node_table(resolved, ma)
+    ]
 
 
 @dataclass(frozen=True)
 class GoodnessReport:
     good: bool
     offending: tuple[tuple[tuple[str, str], int], ...]
-    nodes: tuple[NodeResidue, ...]  # the node table the verdict was read from
 
 
 def is_good(
@@ -508,22 +516,23 @@ def is_good(
     config: FareyConfig = DEFAULT_FAREY,
 ) -> GoodnessReport:
     """Good iff no node residue is a Farey neighbour."""
-    nodes = tuple(node_residues(resolved, ma))
+    divisors = resolved.divisors
     offending = tuple(
-        (node.pair, node.q) for node in nodes if is_farey_neighbour(node.q, ma.p, config)
+        ((divisors[i].id, divisors[j].id), q)
+        for (i, j), q, _ in _node_table(resolved, ma)
+        if is_farey_neighbour(q, ma.p, config)
     )
-    return GoodnessReport(not offending, offending, nodes)
+    return GoodnessReport(not offending, offending)
 
 
 def _all_nodes_good(
     resolved: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig
 ) -> bool:
-    """is_good(resolved, ma, config).good without the table: False at the
-    first node whose residue is a Farey neighbour, before the nodes after
-    it are built or tested."""
+    """is_good(resolved, ma, config).good without its offending list: False
+    at the first node whose residue is a Farey neighbour, before the nodes
+    after it are computed or tested."""
     p = ma.p
-    nodes = _node_table(resolved, ma)
-    return not any(is_farey_neighbour(node.q, p, config) for node in nodes)
+    return not any(is_farey_neighbour(q, p, config) for _, q, _ in _node_table(resolved, ma))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from rootcovers.errors import BudgetError, EmptySolutionSetError, ExceptionalVan
 from rootcovers.numth import (
     DEFAULT_FAREY,
     FareyConfig,
+    _euclid,
     _ncf_stats,
-    _quotients,
     is_farey_neighbour,
     lt_sqrt_bound,
 )
@@ -225,7 +225,7 @@ def farey_convergent_walk(q: int, p: int, config: FareyConfig = DEFAULT_FAREY) -
     cn, cd = config.C.numerator, config.C.denominator
     rhs = cn * cn * p
     c, d, c_prev, d_prev = 1, 0, 0, 1  # the walk opens with 0/1
-    for a in [0] + _quotients(q, p):
+    for a in [0] + _euclid(q, p)[1]:
         c, d, c_prev, d_prev = a * c + c_prev, a * d + d_prev, c, d
         if d * d > p:
             return False

@@ -443,8 +443,13 @@ def test_crowded_arrangement_file_is_refused_at_once(tmp_path, capsys):
 
 
 def test_wrong_ncf_sum_exits_as_internal_error(dual_hesse_file, tmp_path, monkeypatch, capsys):
-    real = cv._ncf_stats
-    monkeypatch.setattr(cv, "_ncf_stats", lambda q, p: (real(q, p)[0], real(q, p)[1] + 1))
+    real = cv._node_walk
+
+    def walk(*args):
+        hit, f, length, e_sum = real(*args)
+        return hit, f, length, e_sum + 1
+
+    monkeypatch.setattr(cv, "_node_walk", walk)
     partition = tmp_path / "row.txt"
     partition.write_text("p 61169\nblock 1 2 3 4 5 6 7 8 61133\n")
     code = main([

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from rootcovers import arrangements as ar
 from rootcovers import covers as cv
+from rootcovers import numth as nt
 from rootcovers import partitions as pt
 from rootcovers.cli import EXIT_OK, main
 from rootcovers.errors import BudgetError, ConsistencyError, ExceptionalVanishes, ValidationError
@@ -134,7 +135,7 @@ def test_example_closed_forms_general_lines(p):
             nu = {f"L{i + 1}": 1 for i in range(r - 1)}
             nu[f"L{r}"] = p - q
             ma = pt.MultiplicityAssignment(p, nu)
-            terms = cv._fold(pt.node_residues(rl, ma), p)
+            terms, _ = cv._fold(rl, ma, FareyConfig())
             chi_closed = (
                 p
                 - Fraction((p * p - 1) * r, 12 * p)
@@ -246,7 +247,7 @@ def test_floor_sum_oracle_invalid_nu_rational():
     rt = ar.resolve(tri)
     ma = pt.MultiplicityAssignment(7, {"L1": 1, "L2": 2, "L3": 3})
     chi_o, scf_o = floor_sum_oracle(rt, ma)
-    terms = cv._fold(pt.node_residues(rt, ma), 7)
+    terms, _ = cv._fold(rt, ma, FareyConfig())
     assert chi_o == cv._invariants(rt, terms)[0] == Fraction(5, 7)
     assert scf_o == terms.scf
 
@@ -420,18 +421,36 @@ def test_cover_spec_accepts_every_sampled_cover(name, p, seed):
 
 
 def test_report_builds_one_node_table(monkeypatch):
+    # the one table is the walk over the resolution's nodes: one _node_walk
+    # per node and nothing else per residue, so no NodeResidue, no goodness
+    # check and no second Farey, NCF or Dedekind route
     spec = _dual_hesse_cover(61169, [1, 29, 89, 269, 1019, 3469, 7919, 15859, 32515])
     calls = Counter()
-    for module, name in ((pt, "node_residues"), (cv, "node_residues"),
-                         (cv, "_ncf_stats"), (cv, "dedekind_fast")):
+    watched = [(cv, "_node_walk")] + [
+        (module, name)
+        for module in (pt, cv, nt)
+        for name in ("node_residues", "is_good", "is_farey_neighbour", "_ncf_stats",
+                     "dedekind_fast")
+        if hasattr(module, name)
+    ]
+    for module, name in watched:
         def counted(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
-    cv.report(spec)
-    nodes = len(spec.resolved.nodes)
-    assert calls == {"node_residues": 1, "_ncf_stats": nodes, "dedekind_fast": nodes}
+    built = Counter()
+    real_init = pt.NodeResidue.__init__
+
+    def counted_init(self, *args):
+        built["NodeResidue"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(pt.NodeResidue, "__init__", counted_init)
+    rep = cv.report(spec)
+    assert not rep.good  # every node walked, hits and misses alike
+    assert calls == {"_node_walk": len(spec.resolved.nodes)}
+    assert built == {}
 
 
 def test_report_keeps_the_offending_nodes_of_is_good():
@@ -459,8 +478,26 @@ def test_scan_result_holds_no_node_table():
 
 def test_wrong_ncf_sum_breaks_the_error_term_identity(monkeypatch):
     spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
-    real = cv._ncf_stats
-    monkeypatch.setattr(cv, "_ncf_stats", lambda q, p: (real(q, p)[0], real(q, p)[1] + 1))
+    real = cv._node_walk
+
+    def walk(*args):
+        hit, f, length, e_sum = real(*args)
+        return hit, f, length, e_sum + 1
+
+    monkeypatch.setattr(cv, "_node_walk", walk)
+    with pytest.raises(ConsistencyError, match="error-term identity"):
+        cv.report(spec)
+
+
+def test_wrong_reciprocity_value_breaks_the_error_term_identity(monkeypatch):
+    spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
+    real = cv._node_walk
+
+    def walk(*args):
+        hit, f, length, e_sum = real(*args)
+        return hit, f + 1, length, e_sum
+
+    monkeypatch.setattr(cv, "_node_walk", walk)
     with pytest.raises(ConsistencyError, match="error-term identity"):
         cv.report(spec)
 
@@ -499,6 +536,31 @@ def test_report_raises_a_good_cover_outside_the_bounds(monkeypatch):
     monkeypatch.setattr(cv, "_bounds_ok", lambda terms, n_nodes, p: False)
     with pytest.raises(ConsistencyError, match="square-root error bounds"):
         cv.report(spec)
+
+
+@pytest.mark.parametrize("C", [Fraction(3, 2), Fraction(5)])
+def test_report_raises_a_good_cover_outside_the_bounds_at_any_c_from_1(monkeypatch, C):
+    # the bad set grows with C, so a cover good at C >= 1 is good at C = 1,
+    # where the square-root bounds hold for p >= 17
+    dh = ar.gen_ceva(3)
+    ra = ar.resolve(dh)
+    config = FareyConfig(C)
+    good = pt.sample_good(pt.system_for(dh, 61169), ra, seed=11, max_tries=500, config=config)
+    spec = cv.CoverSpec(61169, ra, good.assignment, config)
+    assert cv.report(spec).good
+    monkeypatch.setattr(cv, "_bounds_ok", lambda terms, n_nodes, p: False)
+    with pytest.raises(ConsistencyError, match="square-root error bounds"):
+        cv.report(spec)
+
+
+def test_report_only_reports_the_bounds_below_c_1(monkeypatch):
+    dh = ar.gen_ceva(3)
+    ra = ar.resolve(dh)
+    config = FareyConfig(Fraction(1, 3))
+    good = pt.sample_good(pt.system_for(dh, 61169), ra, seed=11, max_tries=100, config=config)
+    monkeypatch.setattr(cv, "_bounds_ok", lambda terms, n_nodes, p: False)
+    rep = cv.report(cv.CoverSpec(61169, ra, good.assignment, config))
+    assert rep.good and not rep.bounds_ok
 
 
 def test_convergence_scan_small():

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from rootcovers import numth as nt
 from rootcovers.errors import BudgetError, ConsistencyError
 
-from oracles import bad_set_enumeration, farey_convergent_walk, ncf_convergents
+from oracles import (
+    bad_set_enumeration,
+    dedekind_fraction,
+    farey_convergent_walk,
+    ncf_convergents,
+)
 
 PRIMES_200 = nt.primes_between(3, 200)
 
@@ -498,6 +503,68 @@ def test_property_farey_remainder_walk_matches_convergent_walk(pqc):
     p, q, config = pqc
     for r in (0, 1, p - 1, q):
         assert nt.is_farey_neighbour(r, p, config) == farey_convergent_walk(r, p, config)
+
+
+def _squared_farey_walk(q, p, config):
+    """Farey membership by the remainder walk with both bounds squared at
+    every step: d^2 <= p and (r d den(C))^2 <= num(C)^2 p."""
+    cd, rhs = config.C.denominator, config.C.numerator ** 2 * p
+    r_prev, r, d_prev, d = p, q, 0, 1
+    while d * d <= p:
+        lhs = r * d * cd
+        if lhs * lhs <= rhs:
+            return True
+        a = r_prev // r
+        r_prev, r, d_prev, d = r, r_prev - a * r, d, a * d + d_prev
+    return False
+
+
+NODE_WALK_SCALES = [Fraction(1), Fraction(1, 3), Fraction(3, 2), Fraction(7, 2), Fraction(10**11)]
+
+
+def _check_node_walk(q, p, C):
+    # the one-pass kernel against the routes it replaces in report, each
+    # recomputed independently of _euclid where the size allows it
+    config = nt.FareyConfig(C)
+    hit, f, length, e_sum = nt._node_walk(q, p, *nt._farey_bounds(p, config))
+    assert hit == nt.is_farey_neighbour(q, p, config) == _squared_farey_walk(q, p, config)
+    assert Fraction(f, 12 * p) == dedekind_fraction(q, p)
+    assert f == q + pow(q, -1, p) + p * (e_sum - 3 * length)  # 12 s = (q+q')/p + sum(e-3)
+    if p < 2000:
+        assert Fraction(f, 12 * p) == nt.dedekind_brute(q, p)
+    if length <= 10_000:
+        exp = nt.ncf_expand(q, p)
+        assert (length, e_sum) == (exp.length, sum(exp.e))
+
+
+@pytest.mark.parametrize("C", NODE_WALK_SCALES, ids=str)
+def test_node_walk_matches_the_independent_routes_on_every_residue(C):
+    for p in nt.primes_between(3, 200):
+        for q in range(1, p):
+            _check_node_walk(q, p, C)
+
+
+@st.composite
+def _node_walk_case(draw):
+    p = _next_prime(draw(st.one_of(st.integers(3, 2000), st.integers(3, 3 * 10**24))))
+    edge = draw(st.sampled_from((None, 1, p - 1, (p - 1) // 2, (p + 1) // 2)))
+    q = edge if edge is not None else draw(st.integers(1, p - 1))
+    return q, p, draw(st.sampled_from(NODE_WALK_SCALES))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_node_walk_case())
+@example((1, 10**18 + 3, Fraction(1)))
+@example((10**18 + 2, 10**18 + 3, Fraction(1, 3)))
+@example(((10**18 + 2) // 2, 10**18 + 3, Fraction(3, 2)))
+@example(((10**18 + 4) // 2, 10**18 + 3, Fraction(10**11)))
+def test_property_node_walk_matches_the_independent_routes(qpc):
+    _check_node_walk(*qpc)
+
+
+def test_node_walk_refuses_a_residue_sharing_a_factor_with_p():
+    with pytest.raises(ValueError, match=r"gcd\(6, 15\) = 3"):
+        nt._node_walk(6, 15, *nt._farey_bounds(15, nt.DEFAULT_FAREY))
 
 
 def test_kernels_refuse_inputs_outside_their_domain():
