@@ -285,10 +285,14 @@ class ResolvedArrangement:
     divisors: tuple[ResolvedCurve, ...]
     nodes: dict[tuple[int, int], int]  # divisor pair (i < j) -> node count, kept sorted
     t2_total: int = field(init=False)
+    sum_self_int: int = field(init=False)
+    sum_genus_defect: int = field(init=False)  # sum over divisors of (g - 1)
 
     def __post_init__(self):
         self.nodes = dict(sorted(self.nodes.items()))
         self.t2_total = sum(self.nodes.values())
+        self.sum_self_int = sum(d.self_int for d in self.divisors)
+        self.sum_genus_defect = sum(d.genus - 1 for d in self.divisors)
 
     @property
     def r(self) -> int:
@@ -296,15 +300,6 @@ class ResolvedArrangement:
 
     def divisor_index(self) -> dict[str, int]:
         return {d.id: i for i, d in enumerate(self.divisors)}
-
-    @property
-    def sum_self_int(self) -> int:
-        return sum(d.self_int for d in self.divisors)
-
-    @property
-    def sum_genus_defect(self) -> int:
-        """sum over divisors of (g - 1)."""
-        return sum(d.genus - 1 for d in self.divisors)
 
 
 def resolve(a: Arrangement) -> ResolvedArrangement:

@@ -13,12 +13,13 @@ arithmetic functions of those residues, computed along independent routes:
 `report` is the one evaluator.  A `CoverSpec` refuses cover data whose
 weighted branch divisor B = sum nu_i D_i has no p-th root (B.D_j must vanish
 mod p for every divisor D_j), so every evaluation is of a genuine cover.
-`report` walks the resolution's nodes once: each residue gets one Euclid
-pass (`numth._node_walk`), which feeds its Farey verdict, its NCF length
-and sum, and its reciprocity Dedekind sum.  It folds them in exact integers
-(12p s and p c are integers) and checks 12 chi = c1^2 + c2, the per-node
-identity c = 12 s + l, and that each invariant comes out integral; a
-failure of any of them is an internal bug, never bad input.
+`report` walks the resolution's nodes once: each distinct residue gets one
+Euclid pass (`numth._node_walk`), which feeds its Farey verdict, its NCF
+length and sum, and its reciprocity Dedekind sum; nodes that share a residue
+share its pass and add their counts to its weight.  It folds them in
+exact integers (12p s and p c are integers) and checks 12 chi = c1^2 + c2,
+the per-node identity c = 12 s + l, and that each invariant comes out
+integral; a failure of any of them is an internal bug, never bad input.
 """
 
 from __future__ import annotations
@@ -141,19 +142,30 @@ class ErrorTerms:
 def _fold(
     ra: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig
 ) -> tuple[ErrorTerms, tuple[tuple[tuple[str, str], int], ...]]:
-    """Walk each node residue once (_node_walk, O(log p)) and fold s, c, l
-    over the nodes; also return the (divisor pair, q) of every Farey hit."""
+    """Walk each distinct node residue once (_node_walk, O(log p)) and fold
+    its s, c, l into the sums once per node that has it, weighted by the
+    node's count; also return the (divisor pair, q) of every Farey hit, in
+    node order.
+
+    q = p - nu_i' nu_j depends only on the ratio nu_j / nu_i, so covers
+    with repeated multiplicities (the equal-part rows) share residues."""
     p = ma.p
     droot, bound = _farey_bounds(p, config)
     divisors = ra.divisors
     offending = []
+    walked = {}  # q -> (hit, 12p s, p c, l)
     scf_num = ccf_num = lcf = 0
     for (i, j), q, count in _node_table(ra, ma):
-        hit, f, length, e_sum = _node_walk(q, p, droot, bound)
+        terms = walked.get(q)
+        if terms is None:
+            hit, f, length, e_sum = _node_walk(q, p, droot, bound)
+            c = q + pow(q, -1, p) + p * (e_sum - 2 * length)
+            terms = walked[q] = (hit, f, c, length)
+        hit, f, c, length = terms
         if hit:
             offending.append(((divisors[i].id, divisors[j].id), q))
         scf_num += count * f
-        ccf_num += count * (q + pow(q, -1, p) + p * (e_sum - 2 * length))
+        ccf_num += count * c
         lcf += count * length
     return ErrorTerms(p, scf_num, ccf_num, lcf), tuple(offending)
 

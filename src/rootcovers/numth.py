@@ -7,12 +7,12 @@ quotients, and every per-residue route reads it: NCF length and sum by the
 Hirzebruch-Jung conversion of the quotients (`_hj_stats`), 12p s(q, p) by
 reciprocity back up the remainders (`_reciprocity`), regular totals as the
 quotient sum.  A cover's node reads all three, Farey verdict included, off
-one pass (`_node_walk`); `is_farey_neighbour` alone walks the remainders
-lazily, stopping where the verdict is known.  The bad set is the images
-r * d^-1 mod p, O(C sqrt(p) log p + sqrt(p)).  Everything is exact: Python
-integers and `Fraction`, no floating point; sqrt(p) bounds go through isqrt
-or are squared, and log(p) bounds through a rational enclosure of the
-logarithm.
+one pass (`_node_walk`), made once per distinct residue of the cover;
+`is_farey_neighbour` alone walks the remainders lazily, stopping where the
+verdict is known.  The bad set is the images r * d^-1 mod p,
+O(C sqrt(p) log p + sqrt(p)).  Everything is exact: Python integers and
+`Fraction`, no floating point; sqrt(p) bounds go through isqrt or are
+squared, and log(p) bounds through a rational enclosure of the logarithm.
 
 Primality is Miller-Rabin over one (base, psi_t) table: bases up to a prove
 every n < psi_t, and the last psi_t is the witness bound, so the two agree.

@@ -460,6 +460,32 @@ def test_wrong_ncf_sum_exits_as_internal_error(dual_hesse_file, tmp_path, monkey
     assert "error-term identity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["f", "e_sum"])
+def test_wrong_value_on_a_shared_residue_exits_as_internal_error(
+    dual_hesse_file, tmp_path, monkeypatch, capsys, field
+):
+    # (2, ..., 2, p - 16) has 36 nodes and 3 residues; p - 3 is shared by 24
+    # of them and walked once, so corrupting that one walk must still show
+    real = cv._node_walk
+    index = ("hit", "f", "length", "e_sum").index(field)
+
+    def walk(q, *args):
+        result = list(real(q, *args))
+        if q == 61169 - 3:
+            result[index] += 1
+        return tuple(result)
+
+    monkeypatch.setattr(cv, "_node_walk", walk)
+    partition = tmp_path / "row.txt"
+    partition.write_text("p 61169\nblock 2 2 2 2 2 2 2 2 61153\n")
+    code = main([
+        "invariants", "--arrangement", dual_hesse_file, "--p", "61169",
+        "--partition", str(partition),
+    ])
+    assert code == EXIT_INTERNAL
+    assert "error-term identity" in capsys.readouterr().err
+
+
 def test_inconsistent_suffix_counts_exit_as_internal_error(tmp_path, monkeypatch, capsys):
     # u = (1, 2, 3) has no all-ones tail, so the sampler's last part is the
     # remainder over u = 3; a level shifted by one leaves one it cannot take

@@ -16,6 +16,7 @@ from rootcovers import arrangements as ar
 from rootcovers import covers as cv
 from rootcovers import numth as nt
 from rootcovers import partitions as pt
+from rootcovers import tables as tb
 from rootcovers.cli import EXIT_OK, main
 from rootcovers.errors import BudgetError, ConsistencyError, ExceptionalVanishes, ValidationError
 from rootcovers.numth import FareyConfig, dedekind_fast, is_prime, ncf_length, primes_between
@@ -420,11 +421,8 @@ def test_cover_spec_accepts_every_sampled_cover(name, p, seed):
     cv.CoverSpec(p, ra, ma)
 
 
-def test_report_builds_one_node_table(monkeypatch):
-    # the one table is the walk over the resolution's nodes: one _node_walk
-    # per node and nothing else per residue, so no NodeResidue, no goodness
-    # check and no second Farey, NCF or Dedekind route
-    spec = _dual_hesse_cover(61169, [1, 29, 89, 269, 1019, 3469, 7919, 15859, 32515])
+def _count_walks(monkeypatch):
+    """Count the calls of _node_walk and of every retired per-residue route."""
     calls = Counter()
     watched = [(cv, "_node_walk")] + [
         (module, name)
@@ -439,6 +437,24 @@ def test_report_builds_one_node_table(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _residue_weights(spec):
+    """q -> summed count of the nodes with residue q, in first-seen order."""
+    weights = Counter()
+    for _, q, count in pt._node_table(spec.resolved, spec.nu):
+        weights[q] += count
+    return weights
+
+
+def test_report_builds_one_node_table(monkeypatch):
+    # the one table is the walk over the resolution's nodes: one _node_walk
+    # per distinct residue and nothing else per residue, so no NodeResidue,
+    # no goodness check and no second Farey, NCF or Dedekind route
+    spec = _dual_hesse_cover(61169, [1, 29, 89, 269, 1019, 3469, 7919, 15859, 32515])
+    distinct = len(_residue_weights(spec))
+    calls = _count_walks(monkeypatch)
     built = Counter()
     real_init = pt.NodeResidue.__init__
 
@@ -449,14 +465,116 @@ def test_report_builds_one_node_table(monkeypatch):
     monkeypatch.setattr(pt.NodeResidue, "__init__", counted_init)
     rep = cv.report(spec)
     assert not rep.good  # every node walked, hits and misses alike
-    assert calls == {"_node_walk": len(spec.resolved.nodes)}
+    assert calls == {"_node_walk": distinct}
     assert built == {}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_report_walks_an_equal_part_row_once_per_residue(monkeypatch, m):
+    # q = p - nu_i' nu_j depends only on nu_j / nu_i, so (m, ..., m, p - 8m)
+    # has 3 distinct residues over its 36 nodes
+    p = 61169
+    spec = _dual_hesse_cover(p, [m] * 8 + [p - 8 * m])
+    assert spec.resolved.t2_total == len(spec.resolved.nodes) == 36
+    calls = _count_walks(monkeypatch)
+    cv.report(spec)
+    assert calls == {"_node_walk": 3}
+
+
+def _per_node_fold(ra, ma, config):
+    """The fold with one walk per node: no residue shared between nodes."""
+    p = ma.p
+    droot, bound = nt._farey_bounds(p, config)
+    offending = []
+    scf_num = ccf_num = lcf = 0
+    for node in pt.node_residues(ra, ma):
+        q = node.q
+        hit, f, length, e_sum = nt._node_walk(q, p, droot, bound)
+        if hit:
+            offending.append((node.pair, q))
+        scf_num += node.count * f
+        ccf_num += node.count * (q + pow(q, -1, p) + p * (e_sum - 2 * length))
+        lcf += node.count * length
+    return cv.ErrorTerms(p, scf_num, ccf_num, lcf), tuple(offending)
+
+
+def _assert_fold_matches_per_node(spec):
+    got = cv._fold(spec.resolved, spec.nu, spec.farey)
+    assert got == _per_node_fold(spec.resolved, spec.nu, spec.farey)
+    return got
+
+
+def _table_specs(name):
+    doc = tb.load_table(name)
+    params = dict(doc["generator"])
+    a = ar.GENERATORS[params.pop("kind")](**params)
+    return [_cover(a, row.get("p", doc.get("p")), row["parts"]) for row in doc["rows"]]
+
+
+@pytest.mark.parametrize("name", tb.TABLE_NAMES)
+def test_fold_matches_the_per_node_fold_on_every_table_row(name):
+    specs = _table_specs(name)
+    assert specs
+    for spec in specs:
+        _assert_fold_matches_per_node(spec)
+
+
+@pytest.mark.parametrize("p", [61169, 1_000_003, 999_999_999_989])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fold_matches_the_per_node_fold_on_equal_part_rows(p, m):
+    _, offending = _assert_fold_matches_per_node(_dual_hesse_cover(p, [m] * 8 + [p - 8 * m]))
+    # every node is bad, and the residue p - 3 hits at 24 of them
+    assert len(offending) == 36
+    assert Counter(q for _, q in offending)[p - 3] == 24
+
+
+_FOLD_ARRANGEMENTS = {"dual-hesse": ar.gen_ceva(3), "conic-and-four-lines": _conic_and_four_lines()}
+_FOLD_RESOLVED = {name: ar.resolve(a) for name, a in _FOLD_ARRANGEMENTS.items()}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_FOLD_ARRANGEMENTS)),
+    p=st.one_of(st.integers(61, 10**6).map(_prime_from), st.sampled_from(_LARGE_PRIMES)),
+    C=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(1, 3)]),
+    seed=st.integers(0, 2**32),
+    pool=st.none() | st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_property_fold_matches_the_per_node_fold(name, p, C, seed, pool, data):
+    # uniform covers have nearly all residues distinct; parts drawn from a
+    # small pool repeat multiplicities, and so residues
+    a, ra = _FOLD_ARRANGEMENTS[name], _FOLD_RESOLVED[name]
+    sysd = pt.system_for(a, p)
+    if pool is None:
+        sol = pt.sample_uniform(sysd, seed)
+    else:
+        parts = []
+        for block in sysd.blocks:
+            head = [data.draw(st.sampled_from(pool)) for _ in block.u[:-1]]
+            parts.append(head + [p - sum(w * m for w, m in zip(block.u, head))])
+        sol = pt.solution_from_parts(sysd, parts)
+    try:
+        ma = pt.assign(ra, sol)
+    except ExceptionalVanishes:
+        assume(False)
+    _assert_fold_matches_per_node(cv.CoverSpec(p, ra, ma, FareyConfig(C)))
 
 
 def test_report_keeps_the_offending_nodes_of_is_good():
     spec = _dual_hesse_cover(61169, [1, 29, 89, 269, 1019, 3469, 7919, 15859, 32515])
     rep = cv.report(spec)
     assert not rep.good
+    assert rep.offending == pt.is_good(spec.resolved, spec.nu, spec.farey).offending
+
+
+def test_report_keeps_every_hit_of_a_shared_residue():
+    # a bad equal-part row: one residue hits at many node pairs, and each
+    # of them stays in the offending list, in node order
+    p = 1_000_003
+    spec = _dual_hesse_cover(p, [2] * 8 + [p - 16])
+    rep = cv.report(spec)
+    assert Counter(q for _, q in rep.offending).most_common(1) == [(p - 3, 24)]
     assert rep.offending == pt.is_good(spec.resolved, spec.nu, spec.farey).offending
 
 
@@ -498,6 +616,40 @@ def test_wrong_reciprocity_value_breaks_the_error_term_identity(monkeypatch):
         return hit, f + 1, length, e_sum
 
     monkeypatch.setattr(cv, "_node_walk", walk)
+    with pytest.raises(ConsistencyError, match="error-term identity"):
+        cv.report(spec)
+
+
+def _corrupt_the_most_shared_residue(monkeypatch, spec, field):
+    """Add 1 to one field of _node_walk's result for the residue that the
+    most nodes share, and to nothing else; return that residue's weight."""
+    (shared, weight), = _residue_weights(spec).most_common(1)
+    real = cv._node_walk
+    index = ("hit", "f", "length", "e_sum").index(field)
+
+    def walk(q, *args):
+        result = list(real(q, *args))
+        if q == shared:
+            result[index] += 1
+        return tuple(result)
+
+    monkeypatch.setattr(cv, "_node_walk", walk)
+    return weight
+
+
+def test_wrong_ncf_sum_on_a_shared_residue_breaks_the_error_term_identity(monkeypatch):
+    # the equal-part row's residue p - 3 is walked once for its 24 nodes
+    p = 61169
+    spec = _dual_hesse_cover(p, [2] * 8 + [p - 16])
+    assert _corrupt_the_most_shared_residue(monkeypatch, spec, "e_sum") == 24
+    with pytest.raises(ConsistencyError, match="error-term identity"):
+        cv.report(spec)
+
+
+def test_wrong_reciprocity_value_on_a_shared_residue_breaks_the_error_term_identity(monkeypatch):
+    p = 61169
+    spec = _dual_hesse_cover(p, [2] * 8 + [p - 16])
+    assert _corrupt_the_most_shared_residue(monkeypatch, spec, "f") == 24
     with pytest.raises(ConsistencyError, match="error-term identity"):
         cv.report(spec)
 
