@@ -51,7 +51,10 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}") from exc
 
 
-def _fr(x: Fraction) -> str:
+def _fr(x: Fraction | None) -> str | None:
+    """n/d, or None for a ratio whose denominator is 0."""
+    if x is None:
+        return None
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
@@ -187,7 +190,7 @@ def _cmd_invariants(args) -> int:
         out.emit("p,partition,chi,c1_sq,c2,ratio_c,ratio_chi,good,tries")
         out.emit(
             f"{args.p},{_partition_text(parts)},{rep.chi},{rep.c1_sq},{rep.c2},"
-            f"{_fr(rep.ratio_c)},{_fr(rep.ratio_chi)},{rep.good},"
+            f"{_fr(rep.ratio_c) or ''},{_fr(rep.ratio_chi) or ''},{rep.good},"
             f"{'' if tries is None else tries}"
         )
     elif args.format == "json":
@@ -218,14 +221,12 @@ def _cmd_invariants(args) -> int:
         out.emit(f"chi   = {rep.chi}")
         out.emit(f"c1^2  = {rep.c1_sq}")
         out.emit(f"c2    = {rep.c2}")
-        out.emit(
-            f"c1^2/c2  = {_fr(rep.ratio_c)} "
-            f"({covers.truncate_decimal(rep.ratio_c, 3)}...)"
-        )
-        out.emit(
-            f"c1^2/chi = {_fr(rep.ratio_chi)} "
-            f"({covers.truncate_decimal(rep.ratio_chi, 3)}...)"
-        )
+        for den, ratio in (("c2", rep.ratio_c), ("chi", rep.ratio_chi)):
+            if ratio is None:
+                shown = f"undefined ({den} = 0)"
+            else:
+                shown = f"{_fr(ratio)} ({covers.truncate_decimal(ratio, 3)}...)"
+            out.emit(f"c1^2/{den:<3} = {shown}")
         out.emit(f"good = {rep.good}")
         out.emit(f"error bounds hold = {rep.bounds_ok}")
         if not rep.good:
@@ -314,7 +315,7 @@ def _cmd_scan(args) -> int:
         out.emit(
             f"{s.p},{s.index},{s.seed},{s.tries},{_partition_text(s.parts)},"
             f"{rep.chi},{rep.c1_sq},{rep.c2},{_fr(rep.ratio_c)},"
-            f"{_fr(rep.ratio_chi)},{rep.good}"
+            f"{_fr(rep.ratio_chi) or ''},{rep.good}"
         )
     out.finish()
     summary = []

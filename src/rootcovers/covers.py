@@ -20,6 +20,9 @@ share its pass and add their counts to its weight.  It folds them in
 exact integers (12p s and p c are integers) and checks 12 chi = c1^2 + c2,
 the per-node identity c = 12 s + l, and that each invariant comes out
 integral; a failure of any of them is an internal bug, never bad input.
+A `ChernReport` stores what `report` computed (the invariants, the error
+terms, the offending nodes, the bound check); its verdict `good` and its
+ratios are read off those, and a ratio with denominator 0 is None.
 """
 
 from __future__ import annotations
@@ -197,21 +200,34 @@ def _invariants(
 
 @dataclass(frozen=True)
 class ChernReport:
+    """What report computed; the ratios and the verdict are read off it.
+    A ratio whose denominator is 0 is None."""
+
     chi: int
     c1_sq: int
     c2: int
-    ratio_c: Fraction
-    ratio_chi: Fraction
     error_terms: ErrorTerms
-    good: bool
     offending: tuple[tuple[tuple[str, str], int], ...]  # (divisor pair, q) in the bad set
     bounds_ok: bool
     n_nodes: int
 
+    @property
+    def ratio_c(self) -> Fraction | None:
+        return Fraction(self.c1_sq, self.c2) if self.c2 else None
+
+    @property
+    def ratio_chi(self) -> Fraction | None:
+        return Fraction(self.c1_sq, self.chi) if self.chi else None
+
+    @property
+    def good(self) -> bool:
+        return not self.offending
+
 
 def _bounds_ok(terms: ErrorTerms, n_nodes: int, p: int) -> bool:
-    # the scf and ccf bounds scaled by 12p and p onto the integer numerators
-    return (
+    # the scf and ccf bounds scaled by 12p and p onto the integer numerators;
+    # with no nodes every term is 0 and there is nothing to bound
+    return not n_nodes or (
         lt_sqrt_bound(abs(terms.scf_num), 36 * p * n_nodes, 60 * p * n_nodes, p)
         and lt_sqrt_bound(terms.lcf, 3 * n_nodes, 2 * n_nodes, p)
         and lt_sqrt_bound(abs(terms.ccf_num), 6 * p * n_nodes, 7 * p * n_nodes, p)
@@ -247,10 +263,7 @@ def report(spec: CoverSpec) -> ChernReport:
         chi=chi_v,
         c1_sq=c1_v,
         c2=c2_v,
-        ratio_c=Fraction(c1_v, c2_v),
-        ratio_chi=Fraction(c1_v, chi_v),
         error_terms=terms,
-        good=not offending,
         offending=offending,
         bounds_ok=bounds,
         n_nodes=n_nodes,
@@ -261,11 +274,12 @@ def report(spec: CoverSpec) -> ChernReport:
 # Convergence experiments
 
 # Most samples (primes x samples per prime) one convergence_scan may hold.
-# On dual Hesse at 1000003 a sample costs about 0.75-1.0 ms and 1.3 KB held
-# (perf_counter and tracemalloc over scans of 2,000 and 6,000 samples on a
-# shared 2-core x86-64 host with Python 3.11), so the largest accepted scan
-# takes about 22-30 s and 40 MB.  A report keeps no node table, so pg2(7),
-# with 456 nodes to dual Hesse's 36, holds about 3.2 KB a sample.
+# On dual Hesse at 1000003 a sample costs about 0.75-1.0 ms (perf_counter
+# over scans of 2,000 and 6,000 samples on a shared 2-core x86-64 host with
+# Python 3.11) and 1.1 KB held (tracemalloc, 1,000 samples at 1000003 and
+# 4000037), so the largest accepted scan takes about 22-30 s and 32 MB.  A
+# report keeps no node table and no ratio, so pg2(7), with 456 nodes to dual
+# Hesse's 36, holds about 3.0 KB a sample.
 MAX_SCAN_SAMPLES = 30_000
 # Most node checks (primes x max_tries x nodes) one convergence_scan may
 # spend when every prime exhausts its tries and is skipped.  Such scans just
@@ -323,8 +337,9 @@ def convergence_scan(
 
     Deterministic in `seed`: sample k at prime p uses the derived seed
     (seed * 1000003 + p) * 1000003 + k.  A prime where sampling exhausts
-    its tries, or with no positive solution (p below a block's minimal sum,
-    or a weighted block with none at p), is skipped with its reason.  More
+    its tries, with no positive solution (p below a block's minimal sum,
+    or a weighted block with none at p), or with a sample whose c2 is 0 (no
+    ratio), is skipped with its reason.  More
     than MAX_SCAN_SAMPLES samples in all, or more than MAX_SCAN_NODE_CHECKS
     node checks as primes x max_tries x nodes, are refused before the first
     draw.  That product is the cost if every prime is skipped at its first
@@ -356,8 +371,8 @@ def convergence_scan(
     skipped: list[tuple[int, str]] = []
     for p in primes:
         sysd = system_for(arrangement, p)
-        ratios: list[Fraction] = []
         collected: list[ScanSample] = []
+        reason = None
         try:
             for k in range(samples_per_prime):
                 sseed = _mix_seed(seed, p, k)
@@ -365,23 +380,21 @@ def convergence_scan(
                     sysd, resolved, seed=sseed, max_tries=max_tries, config=config
                 )
                 rep = report(CoverSpec(p, resolved, good.assignment, config))
+                if rep.c2 == 0:
+                    reason = f"sample {k} has c2 = 0, so c1^2/c2 is undefined"
+                    break
                 parts = solution_parts(sysd, good.solution)
                 collected.append(ScanSample(p, k, sseed, good.tries, parts, rep))
-                ratios.append(rep.ratio_c)
         except (ExhaustedTries, EmptySolutionSetError) as exc:
-            skipped.append((p, str(exc)))
+            reason = str(exc)
+        if reason:
+            skipped.append((p, reason))
             continue
         samples.extend(collected)
+        ratios = [s.report.ratio_c for s in collected]
         med = median(ratios)
         summaries.append(
-            ScanSummary(
-                p=p,
-                samples=len(ratios),
-                ratio_min=min(ratios),
-                ratio_median=med,
-                ratio_max=max(ratios),
-                gap=abs(med - log_ratio),
-            )
+            ScanSummary(p, len(ratios), min(ratios), med, max(ratios), abs(med - log_ratio))
         )
     return ScanResult(log_ratio, tuple(samples), tuple(summaries), tuple(skipped))
 

@@ -10,7 +10,10 @@ quotient sum.  A cover's node reads all three, Farey verdict included, off
 one pass (`_node_walk`), made once per distinct residue of the cover;
 `is_farey_neighbour` alone walks the remainders lazily, stopping where the
 verdict is known.  The bad set is the images r * d^-1 mod p,
-O(C sqrt(p) log p + sqrt(p)).  Everything is exact: Python integers and
+O(C sqrt(p) log p + sqrt(p)).  All three Farey routes (`is_farey_neighbour`,
+`_node_walk`, `bad_set`) read the radius from `_farey_bounds`.  A residue
+that shares a factor with p is refused with one message, by `mod_inverse`
+and by the reciprocity step alike.  Everything is exact: Python integers and
 `Fraction`, no floating point; sqrt(p) bounds go through isqrt or are
 squared, and log(p) bounds through a rational enclosure of the logarithm.
 
@@ -128,9 +131,15 @@ def _check_residue(q: int, p: int) -> None:
         raise ValueError(f"need 0 < q < p, got q={q}, p={p}")
 
 
+def _check_coprime(q: int, p: int, g: int) -> None:
+    if g != 1:
+        raise ValueError(f"need gcd(q, p) = 1, got gcd({q}, {p}) = {g}")
+
+
 def mod_inverse(q: int, p: int) -> int:
     """The unique q' with 0 < q' < p and q q' = 1 (mod p)."""
     _check_residue(q, p)
+    _check_coprime(q, p, gcd(q, p))
     return pow(q, -1, p)
 
 
@@ -221,8 +230,7 @@ def _ncf_stats(q: int, p: int) -> tuple[int, int]:
 
 def canonical_part(q: int, p: int) -> Fraction:
     """(q + q')/p + sum(e_i - 2): the per-node first-Chern correction."""
-    _check_residue(q, p)
-    q2 = pow(q, -1, p)
+    q2 = mod_inverse(q, p)
     s, tot = _ncf_stats(q, p)
     return Fraction(q + q2 + p * (tot - 2 * s), p)
 
@@ -257,8 +265,7 @@ def _reciprocity(rems: list[int]) -> int:
     remainders from f(0, 1) = 0; a pass that ends at gcd(q, p) > 1 is bad
     input, and a remainder of the division is an internal error.
     """
-    if rems[-2] != 1:
-        raise ValueError(f"need gcd(q, p) = 1, got gcd({rems[1]}, {rems[0]}) = {rems[-2]}")
+    _check_coprime(rems[1], rems[0], rems[-2])
     f, a = 0, 1
     for b in rems[-3::-1]:  # (a, b) = (r_(k+1), r_k) from the last step up
         f, rem = divmod(a * (a - 3 * b) + b * (b - f) + 1, a)
@@ -278,8 +285,7 @@ def dedekind_fast(q: int, p: int) -> Fraction:
 def dedekind_from_ncf(q: int, p: int) -> Fraction:
     """Dedekind sum recovered from the continued fraction:
     s(q,p) = ((q + q')/p + sum(e_i - 3)) / 12."""
-    _check_residue(q, p)
-    q2 = pow(q, -1, p)
+    q2 = mod_inverse(q, p)
     s, tot = _ncf_stats(q, p)
     return Fraction(q + q2 + p * (tot - 3 * s), 12 * p)
 
@@ -383,13 +389,12 @@ def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:
         raise BudgetError(
             f"bad_set enumeration at p={p} exceeds the budget max_p={MAX_BADSET_P}"
         )
-    cn, cd = config.C.numerator, config.C.denominator
-    root = isqrt(cn * cn * p)  # floor(C_num * sqrt(p))
-    radii = [root // (d * cd) for d in range(1, isqrt(p) + 1)]
+    droot, bound = _farey_bounds(p, config)  # bound = a(1)
+    radii = [bound // d for d in range(1, droot + 1)]
     reach = min(p, sum(2 * a + 1 for a in radii))
     if reach > MAX_BADSET_MEMBERS:
         raise BudgetError(f"bad_set may hold {reach} residues; budget {MAX_BADSET_MEMBERS}")
-    if 2 * (root // cd) + 1 >= p:  # the d = 1 residues alone cover Z/p
+    if 2 * bound + 1 >= p:  # the d = 1 residues alone cover Z/p
         return set(range(p))
     out: set[int] = set()
     for d, a in enumerate(radii, 1):

@@ -14,9 +14,12 @@ inverts one binomial from an integer root that lies below it by AM-GM,
 then walks up by a few exact ratio steps), and a solution is "good" when
 none of its node residues p - nu_i' nu_j falls in the Farey bad set.  The
 node residues come from one walk over the resolution's nodes
-(`_node_table`, one inverse per divisor, no NodeResidue), which the
-rejection sampler, `is_good`, `node_residues` and `covers.report` share;
-the sampler stops a try at its first node in the bad set.
+(`_node_table`, one inverse per divisor, no NodeResidue), which
+`node_residues` and `covers.report` read as it is.  One lazy filter over
+it (`_bad_nodes`) yields the nodes whose residue is a Farey neighbour:
+`is_good` keeps them all as its offending list, and the rejection sampler
+stops a try at the first.  A `GoodnessReport` stores that list only; its
+verdict `good` is read off it.
 
 The suffix counts of the levels before a block's all-ones tail (whose
 counts are binomial) are Sylvester's denumerants: quasi-polynomials in the
@@ -504,10 +507,22 @@ def node_residues(
     ]
 
 
+def _bad_nodes(resolved: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig):
+    """Yield ((i, j), q) for each node whose residue is a Farey neighbour,
+    lazily, in node order: the one Farey filter over _node_table.  A caller
+    that stops at the first node yielded tests none of the nodes after it."""
+    for pair, q, _ in _node_table(resolved, ma):
+        if is_farey_neighbour(q, ma.p, config):
+            yield pair, q
+
+
 @dataclass(frozen=True)
 class GoodnessReport:
-    good: bool
     offending: tuple[tuple[tuple[str, str], int], ...]
+
+    @property
+    def good(self) -> bool:
+        return not self.offending
 
 
 def is_good(
@@ -515,24 +530,11 @@ def is_good(
     ma: MultiplicityAssignment,
     config: FareyConfig = DEFAULT_FAREY,
 ) -> GoodnessReport:
-    """Good iff no node residue is a Farey neighbour."""
+    """Good iff no node residue is a Farey neighbour (_bad_nodes)."""
     divisors = resolved.divisors
-    offending = tuple(
-        ((divisors[i].id, divisors[j].id), q)
-        for (i, j), q, _ in _node_table(resolved, ma)
-        if is_farey_neighbour(q, ma.p, config)
-    )
-    return GoodnessReport(not offending, offending)
-
-
-def _all_nodes_good(
-    resolved: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig
-) -> bool:
-    """is_good(resolved, ma, config).good without its offending list: False
-    at the first node whose residue is a Farey neighbour, before the nodes
-    after it are computed or tested."""
-    p = ma.p
-    return not any(is_farey_neighbour(q, p, config) for _, q, _ in _node_table(resolved, ma))
+    return GoodnessReport(tuple(
+        ((divisors[i].id, divisors[j].id), q) for (i, j), q in _bad_nodes(resolved, ma, config)
+    ))
 
 
 @dataclass(frozen=True)
@@ -555,7 +557,7 @@ def sample_good(
     The try count is an empirical estimate of the bad fraction.  For
     parallel work, split seeds as seed + worker index; a single call is
     fully deterministic in `seed`.  A try stops at its first node in the
-    bad set (_all_nodes_good), so only an accepted try checks every node;
+    bad set (_bad_nodes), so only an accepted try checks every node;
     max_tries x nodes above MAX_SAMPLING_NODES, the worst case, is refused
     before the first draw.
     """
@@ -574,7 +576,7 @@ def sample_good(
             ma = assign(resolved, sol)
         except ExceptionalVanishes:
             continue
-        if _all_nodes_good(resolved, ma, config):
+        if next(_bad_nodes(resolved, ma, config), None) is None:
             return GoodSample(sol, ma, tries)
     raise ExhaustedTries(max_tries)
 

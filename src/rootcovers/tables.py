@@ -37,7 +37,10 @@ class TableRow:
     parts: tuple[tuple[int, ...], ...]
     expected: dict
     computed: dict
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.computed == self.expected
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,5 @@ def run_table(name: str) -> TableRun:
         }
         expected = {key: row[key] for key in values if key in row}
         computed = {key: values[key] for key in expected}
-        ok = all(expected[k] == computed[k] for k in expected)
-        rows.append(TableRow(index, p, parts, expected, computed, ok))
+        rows.append(TableRow(index, p, parts, expected, computed))
     return TableRun(name, doc.get("title", name), tuple(rows))

@@ -204,14 +204,14 @@ def fraction_report(spec: CoverSpec) -> dict:
         if is_farey_neighbour(node.q, p, spec.farey)
     )
     n = ra.t2_total
-    bounds_ok = (
+    bounds_ok = n == 0 or (  # no nodes, no error terms to bound
         lt_sqrt_bound(abs(scf), 3 * n, 5 * n, p)
         and lt_sqrt_bound(Fraction(lcf), 3 * n, 2 * n, p)
         and lt_sqrt_bound(abs(ccf), 6 * n, 7 * n, p)
     )
     return {
         "chi": chi, "c1_sq": c1_sq, "c2": c2,
-        "ratio_c": c1_sq / c2, "ratio_chi": c1_sq / chi,
+        "ratio_c": c1_sq / c2 if c2 else None, "ratio_chi": c1_sq / chi if chi else None,
         "scf": scf, "ccf": ccf, "lcf": lcf,
         "good": not offending, "offending": offending,
         "bounds_ok": bounds_ok, "n_nodes": n,

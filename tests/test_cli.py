@@ -911,3 +911,106 @@ def test_scan_without_out_writes_its_summary_to_stderr(dual_hesse_file, tmp_path
     assert "p=97 skipped" in streamed.err and "p=101 skipped" in streamed.err
     manifest_out = f"# manifest out={path}\n"
     assert streamed.out == path.read_text().replace(manifest_out, "")
+
+
+# Two valid inputs at the edge of the invariants: three disjoint rulings of
+# P1xP1 (no nodes, so no error terms; c2 = 0 at p = 3) and three disjoint
+# elliptic curves on a surface with c1^2 = c2 = 0 (c2 = chi = 0 at every p).
+_DEGENERATE = {
+    "p1xp1-no-nodes": (
+        {"name": "P1xP1", "c1_sq": 8, "c2": 4},
+        [{"id": f"A{i}", "genus": 0, "self_int": 0, "block": 1, "u": 1} for i in range(3)],
+    ),
+    "exe-no-nodes": (
+        {"name": "ExE", "c1_sq": 0, "c2": 0},
+        [{"id": f"G{i}", "genus": 1, "self_int": 0, "block": 1, "u": 1} for i in range(3)],
+    ),
+}
+
+
+def _write_degenerate(name, directory):
+    surface, curves = _DEGENERATE[name]
+    doc = {"format": "arrangement/1", "surface": surface, "blocks": 1,
+           "flags": {"line_arrangement": False}, "curves": curves, "points": []}
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _degenerate_runs():
+    for name in _DEGENERATE:
+        for action in ("info", "validate"):
+            yield name, ["arrangement", action], None
+        for p in (3, 13, 101):
+            for how in ("--partition", "--seed"):
+                for fmt in ("table", "csv", "json"):
+                    yield name, ["invariants", "--p", str(p), how, "--format", fmt], p
+            yield name, ["scan", "--primes", str(p), "--seed", "1", "--samples", "2"], p
+
+
+_DEGENERATE_RUNS = list(_degenerate_runs())
+
+
+@pytest.mark.parametrize(
+    "name, argv, p", _DEGENERATE_RUNS,
+    ids=[":".join([name, *(arg.lstrip("-") for arg in argv)]) for name, argv, _ in _DEGENERATE_RUNS],
+)
+def test_no_input_produces_a_traceback(name, argv, p, tmp_path, capsys):
+    argv = list(argv)
+    arrangement = _write_degenerate(name, tmp_path)
+    if "--partition" in argv:
+        part = tmp_path / "part.txt"
+        part.write_text(f"p {p}\nblock 1 1 {p - 2}\n")
+        argv.insert(argv.index("--partition") + 1, str(part))
+    elif "--seed" in argv and argv[0] == "invariants":
+        argv.insert(argv.index("--seed") + 1, "1")
+    try:
+        code = main([*argv, "--arrangement", arrangement])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_EXHAUSTED)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["13", "101"])
+def test_a_cover_with_no_nodes_has_its_bounds_hold(p, tmp_path, capsys):
+    arrangement = _write_degenerate("p1xp1-no-nodes", tmp_path)
+    assert main(["invariants", "--arrangement", arrangement, "--p", p, "--seed", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "good = True\nerror bounds hold = True\n" in out
+
+
+@pytest.mark.parametrize(
+    "fmt, shown",
+    [
+        ("table", "c1^2/c2  = undefined (c2 = 0)\nc1^2/chi = undefined (chi = 0)\n"),
+        ("csv", "\n13,1+2+10,0,0,0,,,True,\n"),
+        ("json", '"ratio_c": null,\n  "ratio_chi": null\n'),
+    ],
+    ids=["table", "csv", "json"],
+)
+def test_invariants_prints_an_undefined_ratio(fmt, shown, tmp_path, capsys):
+    arrangement = _write_degenerate("exe-no-nodes", tmp_path)
+    part = tmp_path / "part.txt"
+    part.write_text("p 13\nblock 1 2 10\n")
+    argv = ["invariants", "--arrangement", arrangement, "--p", "13",
+            "--partition", str(part), "--format", fmt]
+    assert main(argv) == EXIT_OK
+    assert shown in capsys.readouterr().out
+
+
+def test_scan_skips_a_prime_whose_sample_has_c2_zero(tmp_path, capsys):
+    arrangement = _write_degenerate("p1xp1-no-nodes", tmp_path)
+    argv = ["scan", "--arrangement", arrangement, "--primes", "3,5,7", "--seed", "1",
+            "--samples", "2"]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert not [line for line in captured.out.splitlines() if line.startswith("3,")]
+    assert "p=3 skipped: sample 0 has c2 = 0, so c1^2/c2 is undefined" in captured.err
+    assert "p=5 samples=2" in captured.err and "p=7 samples=2" in captured.err
+
+
+@pytest.mark.parametrize("op", ["mod-inverse", "canonical", "dedekind"])
+def test_a_residue_sharing_a_factor_with_p_gets_one_message(op, capsys):
+    assert main(["numth", op, "2", "4"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: need gcd(q, p) = 1, got gcd(2, 4) = 2\n"

@@ -1,5 +1,6 @@
 """Invariant engine: exact chi, c1^2, c2, error terms, oracle, scans."""
 
+import dataclasses
 import gc
 import random
 import time
@@ -756,3 +757,57 @@ def test_truncate_decimal():
     assert cv.truncate_decimal(Fraction(8, 3), 3) == "2.666"
     assert cv.truncate_decimal(Fraction(-8, 3), 2) == "-2.66"
     assert cv.truncate_decimal(Fraction(5), 3) == "5.000"
+
+
+def test_reports_store_no_value_they_derive():
+    # the verdict follows from the offending nodes, the ratios from the
+    # invariants, a table row's status from its computed and expected values
+    stored = {
+        cls.__name__: {f.name for f in dataclasses.fields(cls)}
+        for cls in (cv.ChernReport, pt.GoodnessReport, tb.TableRow)
+    }
+    for names in stored.values():
+        assert not names & {"good", "ratio_c", "ratio_chi", "ok"}
+    rep = cv.report(_dual_hesse_cover(61169, [1, 29, 89, 269, 1019, 3469, 7919, 15859, 32515]))
+    assert rep.good is (not rep.offending) is False
+    assert rep.ratio_c == Fraction(rep.c1_sq, rep.c2)
+    assert rep.ratio_chi == Fraction(rep.c1_sq, rep.chi)
+    row = tb.run_table("remark71a").rows[0]
+    assert row.ok and row.computed == row.expected
+
+
+def _no_node_cover(surface, genus, p, parts):
+    curves = tuple(ar.CurveDecl(f"A{i}", genus, 0, 1, 1) for i in range(3))
+    return _cover(ar.Arrangement(surface, 1, curves, ()), p, [parts])
+
+
+@pytest.mark.parametrize("p", [13, 17, 101])
+def test_a_cover_with_no_nodes_has_nothing_to_bound(p):
+    spec = _no_node_cover(ar.P1xP1, 0, p, [1, 1, p - 2])
+    rep = cv.report(spec)
+    assert rep.n_nodes == 0 and rep.error_terms.lcf == 0 and rep.good
+    assert rep.bounds_ok
+    assert fraction_report(spec)["bounds_ok"]
+
+
+@pytest.mark.parametrize(
+    "surface, genus, p, parts",
+    [(ar.SurfaceClass("ExE", 0, 0), 1, 13, [1, 2, 10]), (ar.P1xP1, 0, 3, [1, 1, 1])],
+    ids=["ExE-13", "P1xP1-3"],
+)
+def test_a_ratio_with_denominator_zero_is_none(surface, genus, p, parts):
+    spec = _no_node_cover(surface, genus, p, parts)
+    rep = cv.report(spec)
+    assert rep.c2 == 0 and rep.ratio_c is None
+    assert (rep.ratio_chi is None) == (rep.chi == 0)
+    want = fraction_report(spec)
+    assert (want["ratio_c"], want["ratio_chi"]) == (rep.ratio_c, rep.ratio_chi)
+
+
+def test_convergence_scan_skips_a_prime_whose_sample_has_c2_zero():
+    curves = tuple(ar.CurveDecl(f"A{i}", 0, 0, 1, 1) for i in range(3))
+    a = ar.Arrangement(ar.P1xP1, 1, curves, ())
+    result = cv.convergence_scan(a, [3, 5], samples_per_prime=2, seed=1)
+    assert result.skipped == ((3, "sample 0 has c2 = 0, so c1^2/c2 is undefined"),)
+    assert [s.p for s in result.samples] == [5, 5]
+    assert [s.p for s in result.summaries] == [5]

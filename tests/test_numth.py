@@ -572,3 +572,32 @@ def test_kernels_refuse_inputs_outside_their_domain():
         nt.log_enclosure(Fraction(0))
     with pytest.raises(ValueError, match="witness bound"):
         nt.is_prime(nt._MR_BOUND)
+
+
+@pytest.mark.parametrize(
+    "kernel", [nt.mod_inverse, nt.canonical_part, nt.dedekind_fast, nt.dedekind_from_ncf]
+)
+def test_a_residue_sharing_a_factor_with_p_gets_one_message(kernel):
+    with pytest.raises(ValueError) as info:
+        kernel(6, 15)
+    assert str(info.value) == "need gcd(q, p) = 1, got gcd(6, 15) = 3"
+
+
+@pytest.mark.parametrize("C", [Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(7, 5)])
+def test_bad_set_reads_its_radius_from_farey_bounds(C, monkeypatch):
+    # the radius a(d) = floor(C sqrt(p) / d) is _farey_bounds' bound over d,
+    # the same definition is_farey_neighbour and _node_walk read
+    config = nt.FareyConfig(C)
+    want = {p: nt.bad_set(p, config) for p in (101, 1009, 10007)}
+    calls = []
+    bounds = nt._farey_bounds
+
+    def counted(p, config):
+        calls.append(p)
+        return bounds(p, config)
+
+    monkeypatch.setattr(nt, "_farey_bounds", counted)
+    assert {p: nt.bad_set(p, config) for p in want} == want
+    assert calls == list(want)
+    monkeypatch.setattr(nt, "_farey_bounds", lambda p, config: (bounds(p, config)[0], 0))
+    assert nt.bad_set(101, config) == {0}

@@ -715,6 +715,41 @@ def test_a_rejected_try_stops_at_its_first_farey_hit(make, args, p, C, monkeypat
     assert stopped_early
 
 
+@pytest.mark.parametrize("make, args, p, C", _REJECTING)
+def test_bad_nodes_yields_is_goods_offending_list_lazily(make, args, p, C, monkeypatch):
+    # the one Farey filter: every caught node, in node order, with the
+    # divisor indices of the node table; a caller that stops at the first
+    # node yielded has tested no node after it
+    a = getattr(ar, make)(*args)
+    ra = ar.resolve(a)
+    config = FareyConfig(C)
+    ids = [div.id for div in ra.divisors]
+    calls = []
+
+    def counted(q, p, config):
+        calls.append(q)
+        return numth.is_farey_neighbour(q, p, config)
+
+    for seed in range(5):
+        ma = pt.assign(ra, pt._sample(pt.system_for(a, p), random.Random(seed)))
+        bad = list(pt._bad_nodes(ra, ma, config))
+        assert [((ids[i], ids[j]), q) for (i, j), q in bad] == list(pt.is_good(ra, ma, config).offending)
+        residues = [q for _, q, _ in pt._node_table(ra, ma)]
+        monkeypatch.setattr(pt, "is_farey_neighbour", counted)
+        calls.clear()
+        first = next(pt._bad_nodes(ra, ma, config), None)
+        monkeypatch.undo()
+        assert first == (bad[0] if bad else None)
+        assert calls == residues[: residues.index(first[1]) + 1 if first else None]
+
+
+def test_goodness_is_decided_by_one_filter():
+    assert not hasattr(pt, "_all_nodes_good")
+    assert [f.name for f in dataclasses.fields(pt.GoodnessReport)] == ["offending"]
+    assert pt.GoodnessReport(()).good
+    assert not pt.GoodnessReport(((("A", "B"), 3),)).good
+
+
 def test_sample_good_budgets_tries_times_nodes(monkeypatch):
     dh = ar.gen_ceva(3)
     ra = ar.resolve(dh)
