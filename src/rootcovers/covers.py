@@ -15,11 +15,12 @@ weighted branch divisor B = sum nu_i D_i has no p-th root (B.D_j must vanish
 mod p for every divisor D_j), so every evaluation is of a genuine cover.
 `report` walks the resolution's nodes once: each distinct residue gets one
 Euclid pass (`numth._node_walk`), which feeds its Farey verdict, its NCF
-length and sum, and its reciprocity Dedekind sum; nodes that share a residue
-share its pass and add their counts to its weight.  It folds them in
-exact integers (12p s and p c are integers) and checks 12 chi = c1^2 + c2,
-the per-node identity c = 12 s + l, and that each invariant comes out
-integral; a failure of any of them is an internal bug, never bad input.
+length and sum, its inverse q' and its reciprocity Dedekind sum; nodes that
+share a residue share its pass and add their counts to its weight.  It
+folds them in exact integers (12p s and p c are integers) and checks
+12 chi = c1^2 + c2, the per-node identity c = 12 s + l, and that each
+invariant comes out integral; a failure of any of them is an internal bug,
+never bad input.
 A `ChernReport` stores what `report` computed (the invariants, the error
 terms, the offending nodes, the bound check); its verdict `good` and its
 ratios are read off those, and a ratio with denominator 0 is None.
@@ -145,10 +146,10 @@ class ErrorTerms:
 def _fold(
     ra: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig
 ) -> tuple[ErrorTerms, tuple[tuple[tuple[str, str], int], ...]]:
-    """Walk each distinct node residue once (_node_walk, O(log p)) and fold
-    its s, c, l into the sums once per node that has it, weighted by the
-    node's count; also return the (divisor pair, q) of every Farey hit, in
-    node order.
+    """Walk each distinct node residue once (_node_walk, O(log p), which
+    also yields q') and fold its s, c, l into the sums once per node that
+    has it, weighted by the node's count; also return the (divisor pair, q)
+    of every Farey hit, in node order.
 
     q = p - nu_i' nu_j depends only on the ratio nu_j / nu_i, so covers
     with repeated multiplicities (the equal-part rows) share residues."""
@@ -161,8 +162,8 @@ def _fold(
     for (i, j), q, count in _node_table(ra, ma):
         terms = walked.get(q)
         if terms is None:
-            hit, f, length, e_sum = _node_walk(q, p, droot, bound)
-            c = q + pow(q, -1, p) + p * (e_sum - 2 * length)
+            hit, f, length, e_sum, inverse = _node_walk(q, p, droot, bound)
+            c = q + inverse + p * (e_sum - 2 * length)
             terms = walked[q] = (hit, f, c, length)
         hit, f, c, length = terms
         if hit:
@@ -274,21 +275,22 @@ def report(spec: CoverSpec) -> ChernReport:
 # Convergence experiments
 
 # Most samples (primes x samples per prime) one convergence_scan may hold.
-# On dual Hesse at 1000003 a sample costs about 0.75-1.0 ms (perf_counter
-# over scans of 2,000 and 6,000 samples on a shared 2-core x86-64 host with
-# Python 3.11) and 1.1 KB held (tracemalloc, 1,000 samples at 1000003 and
-# 4000037), so the largest accepted scan takes about 22-30 s and 32 MB.  A
+# On dual Hesse at 1000003 a sample costs about 0.65-0.8 ms (perf_counter
+# over scans of 2,000 samples on a shared 2-core x86-64 host with Python
+# 3.11, whose speed drifts about 2x from run to run) and 1.1 KB held
+# (tracemalloc, 1,000 samples at 1000003 and 4000037), so the largest
+# accepted scan takes about 20-24 s and 32 MB.  A
 # report keeps no node table and no ratio, so pg2(7), with 456 nodes to dual
 # Hesse's 36, holds about 3.0 KB a sample.
 MAX_SCAN_SAMPLES = 30_000
 # Most node checks (primes x max_tries x nodes) one convergence_scan may
 # spend when every prime exhausts its tries and is skipped.  Such scans just
-# under the bound take 3.7-4.9 s and 25 MB peak RSS for gen_ceva(80) at
-# four primes near 1e6 (51 tries each, about 1 us a check) and 3.8 s for
-# dual Hesse at primes 11-100 (5,291 tries each, about 1 us a check), on
+# under the bound take 3.7-4.9 s and 24-25 MB peak RSS for gen_ceva(80) at
+# four primes near 1e6 (51 tries each, about 1 us a check) and 3.8-6.0 s
+# for dual Hesse at primes 11-100 (5,291 tries each, 1-1.5 us a check), on
 # the host above: a rejected try stops at its first Farey hit.  The bound
 # stays a worst case, since an accepted try checks every node (draw, assign
-# and Farey tests: about 3-5 us a node for gen_ceva(80) at 1000003, 14-26 us
+# and Farey tests: about 2-3 us a node for gen_ceva(80) at 1000003, 10-19 us
 # for dual Hesse at 3e24+7, where each draw works on bigger integers).
 MAX_SCAN_NODE_CHECKS = 4_000_000
 

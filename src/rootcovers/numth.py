@@ -2,20 +2,26 @@
 
 Negative-regular continued fractions, Dedekind sums (three independent
 algorithms), regular continued-fraction totals, and the Farey bad set.
-One O(log p) Euclid pass over p/q (`_euclid`) keeps its remainders and
-quotients, and every per-residue route reads it: NCF length and sum by the
-Hirzebruch-Jung conversion of the quotients (`_hj_stats`), 12p s(q, p) by
-reciprocity back up the remainders (`_reciprocity`), regular totals as the
-quotient sum.  A cover's node reads all three, Farey verdict included, off
-one pass (`_node_walk`), made once per distinct residue of the cover;
-`is_farey_neighbour` alone walks the remainders lazily, stopping where the
-verdict is known.  The bad set is the images r * d^-1 mod p,
-O(C sqrt(p) log p + sqrt(p)).  All three Farey routes (`is_farey_neighbour`,
-`_node_walk`, `bad_set`) read the radius from `_farey_bounds`.  A residue
-that shares a factor with p is refused with one message, by `mod_inverse`
-and by the reciprocity step alike.  Everything is exact: Python integers and
-`Fraction`, no floating point; sqrt(p) bounds go through isqrt or are
-squared, and log(p) bounds through a rational enclosure of the logarithm.
+One O(log p) forward Euclid pass over p/q (`_euclid`) stores its
+remainders and nothing else, and every per-residue route reads it: NCF
+length and sum by the Hirzebruch-Jung conversion of the quotients
+(`_hj_stats`, from their count and their sums at even and at odd
+positions), 12p s(q, p) by reciprocity back up the remainders
+(`_reciprocity`), regular totals as the quotient sum.  The same pass
+carries the convergent denominators, so it also decides the Farey verdict
+where it is known and yields the inverse q' at its last step.  A cover's
+node reads all of it off one pass (`_node_walk`), made once per distinct
+residue of the cover; Farey membership on its own (`_farey_hit`, under
+`is_farey_neighbour` and the sampler) walks the remainders lazily, stopping
+where the verdict is known.  The bad set is the images r * d^-1 mod p,
+O(C sqrt(p) log p + sqrt(p)).  Every Farey route reads its radius from
+`_farey_bounds`: `is_farey_neighbour` and `bad_set` once per call, the
+sampler once per try and `report` once per cover, handing it to
+`_farey_hit` and `_node_walk`.  A residue that shares a factor with p is refused with one
+message, by `mod_inverse` and by the reciprocity step alike.  Everything is
+exact: Python integers and `Fraction`, no floating point; sqrt(p) bounds go
+through isqrt or are squared, and log(p) bounds through a rational
+enclosure of the logarithm.
 
 Primality is Miller-Rabin over one (base, psi_t) table: bases up to a prove
 every n < psi_t, and the last psi_t is the witness bound, so the two agree.
@@ -199,33 +205,59 @@ def ncf_length(q: int, p: int) -> int:
     return _ncf_stats(q, p)[0]
 
 
-def _euclid(q: int, p: int) -> tuple[list[int], list[int]]:
-    """One Euclid pass over p/q = a_0 + 1/(a_1 + ...): the remainders
-    [p, q, r_1, ..., gcd(q, p), 0] and the quotients [a_0, ..., a_n],
-    a_k = r_(k-1) // r_k."""
-    rems, quots = [p, q], []
-    while q:
-        a = p // q
-        p, q = q, p - a * q
-        quots.append(a)
-        rems.append(q)
-    return rems, quots
+def _euclid(
+    q: int, p: int, droot: int = -1, bound: int = 0
+) -> tuple[bool, list[int], int, int, int]:
+    """One forward Euclid pass over p/q = a_0 + 1/(a_1 + ...), a_k =
+    r_(k-1) // r_k, that stores only the remainders: (Farey hit, [p, q, r_1,
+    ..., gcd(q, p), 0], sum of the a_k at even k, at odd k, q').
+
+    The quotients are counted by the remainders (len - 2) and summed by
+    parity as they go.  Alongside runs the convergent denominator d_(k+1) =
+    a_k d_k + d_(k-1) of q/p from 0/1, each d_k with its remainder r_k; the
+    verdict is is_farey_neighbour's, decided at the first k with d_k > droot
+    or r_k d_k <= bound (droot and bound from _farey_bounds; the default
+    droot = -1 decides False at once).  At the last nonzero remainder r_n =
+    gcd(q, p), the determinant of two consecutive convergents gives
+    q d_n = (-1)^n (mod p) for gcd 1, so the inverse q' is d_n when the
+    count n + 1 of quotients is odd and p - d_n when it is even.
+    """
+    rems = [p, q]
+    r_prev, r, d_prev, d = p, q, 0, 1
+    this = that = 0  # quotient sums at the parity of the next k, and at the other
+    hit = None
+    while r:
+        if hit is None and (d > droot or r * d <= bound):
+            hit = d <= droot
+        a = r_prev // r
+        # in pairs: a wider tuple assignment packs a tuple at every step
+        r_prev, r = r, r_prev - a * r
+        d_prev, d = d, a * d + d_prev
+        this, that = that, this + a
+        rems.append(r)
+    if hit is None:  # undecided until r = 0, which hits iff d <= droot
+        hit = d <= droot
+    if len(rems) % 2:  # an odd count of quotients
+        return hit, rems, that, this, d_prev
+    return hit, rems, this, that, p - d_prev
 
 
-def _hj_stats(a: list[int]) -> tuple[int, int]:
-    """(length, sum e_i) from the Euclid quotients a of p/q (Hirzebruch-Jung):
-    with n even (else a_n -> a_n - 1, 1, read here without copying a),
+def _hj_stats(count: int, even: int, odd: int) -> tuple[int, int]:
+    """(length, sum e_i) from the count of the Euclid quotients a of p/q and
+    their sums at even and at odd positions (Hirzebruch-Jung): with n even
+    (else a_n -> a_n - 1, 1, read here without a list),
     p/q = [a_0; ..., a_n] is [a_0+1, 2^(a_1-1), a_2+2, ..., 2^(a_(n-1)-1), a_n+1]
     in negative-regular form."""
-    fix = 1 - len(a) % 2
-    n = len(a) - 1 + fix
-    twos = sum(a[1::2]) - fix - n // 2
-    return n // 2 + 1 + twos, sum(a[0::2]) + fix + n + 2 * twos
+    fix = 1 - count % 2
+    n = count - 1 + fix
+    twos = odd - fix - n // 2
+    return n // 2 + 1 + twos, even + fix + n + 2 * twos
 
 
 def _ncf_stats(q: int, p: int) -> tuple[int, int]:
     """(length, sum e_i) of p/q, from one Euclid pass."""
-    return _hj_stats(_euclid(q, p)[1])
+    _, rems, even, odd, _ = _euclid(q, p)
+    return _hj_stats(len(rems) - 2, even, odd)
 
 
 def canonical_part(q: int, p: int) -> Fraction:
@@ -279,7 +311,7 @@ def dedekind_fast(q: int, p: int) -> Fraction:
     """Dedekind sum via the reciprocity recursion (_reciprocity), O(log p),
     in integers."""
     _check_residue(q, p)
-    return Fraction(_reciprocity(_euclid(q, p)[0]), 12 * p)
+    return Fraction(_reciprocity(_euclid(q, p)[1]), 12 * p)
 
 
 def dedekind_from_ncf(q: int, p: int) -> Fraction:
@@ -301,7 +333,8 @@ def rcf_total(n: int, m: int) -> int:
         raise ValueError(f"need 0 < n < m, got n={n}, m={m}")
     if gcd(n, m) != 1:
         raise ValueError(f"{n}/{m} is not in lowest terms")
-    return sum(_euclid(n, m)[1])
+    _, _, even, odd, _ = _euclid(n, m)
+    return even + odd
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +367,12 @@ def is_farey_neighbour(q: int, p: int, config: FareyConfig = DEFAULT_FAREY) -> b
       convergent catches it: 0/1 if q <= p/2, 1/1 if q > p/2 (a_1 = 1).
     |q d_k - p c_k| = r_k, the Euclid remainder of p/q at convergent k, and the
     test is r d <= bound with d <= isqrt(p) (_farey_bounds); r = 0 hits before
-    any division by 0.  The walk is lazy: it stops where the verdict is known,
-    about halfway down a pass that _node_walk keeps whole.
+    any division by 0.  The walk (_farey_hit) is lazy: it stops where the
+    verdict is known, about halfway down a pass that _euclid keeps whole.
     """
     if not 0 <= q < p:
         raise ValueError(f"need 0 <= q < p, got q={q}, p={p}")
-    droot, bound = _farey_bounds(p, config)
-    r_prev, r, d_prev, d = p, q, 0, 1  # the walk opens with 0/1 at distance q
-    while d <= droot and r * d > bound:
-        a = r_prev // r
-        r_prev, r, d_prev, d = r, r_prev - a * r, d, a * d + d_prev
-    return d <= droot
+    return _farey_hit(q, p, *_farey_bounds(p, config))
 
 
 def _farey_bounds(p: int, config: FareyConfig) -> tuple[int, int]:
@@ -356,23 +384,26 @@ def _farey_bounds(p: int, config: FareyConfig) -> tuple[int, int]:
     return isqrt(p), isqrt(C.numerator ** 2 * p) // C.denominator
 
 
-def _node_walk(q: int, p: int, droot: int, bound: int) -> tuple[bool, int, int, int]:
-    """(Farey hit, 12p s(q, p), NCF length, sum e_i) of a residue 0 < q < p
-    coprime to p, all from one Euclid pass; droot and bound are
-    _farey_bounds(p, config).
-
-    The verdict is is_farey_neighbour's, read off the stored pass: the
-    convergent denominators d_(k+1) = a_k d_k + d_(k-1) from 0/1, each with
-    its remainder r_k, up to d > droot; running out of remainders means
-    r = 0, a hit iff d <= droot.
-    """
-    rems, quots = _euclid(q, p)
-    d_prev, d = 0, 1
-    for r, a in zip(rems[1:], quots):
-        if d > droot or r * d <= bound:
-            break
+def _farey_hit(q: int, p: int, droot: int, bound: int) -> bool:
+    """is_farey_neighbour of 0 <= q < p, with droot and bound from
+    _farey_bounds(p, config) taken by the caller: the convergents of q/p
+    from 0/1, each at its Euclid remainder, until d > droot or r d <= bound."""
+    r_prev, r, d_prev, d = p, q, 0, 1  # the walk opens with 0/1 at distance q
+    while d <= droot and r * d > bound:
+        a = r_prev // r
+        r_prev, r = r, r_prev - a * r
         d_prev, d = d, a * d + d_prev
-    return d <= droot, _reciprocity(rems), *_hj_stats(quots)
+    return d <= droot
+
+
+def _node_walk(
+    q: int, p: int, droot: int, bound: int
+) -> tuple[bool, int, int, int, int]:
+    """(Farey hit, 12p s(q, p), NCF length, sum e_i, q') of a residue
+    0 < q < p coprime to p, all from one Euclid pass (_euclid); droot and
+    bound are _farey_bounds(p, config)."""
+    hit, rems, even, odd, inverse = _euclid(q, p, droot, bound)
+    return hit, _reciprocity(rems), *_hj_stats(len(rems) - 2, even, odd), inverse
 
 
 def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:

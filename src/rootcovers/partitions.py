@@ -11,14 +11,15 @@ exactly uniform over all positive solutions (sequential conditional
 sampling: a part before the block's all-ones tail bisects the prefix-count
 identity of the suffix counts, O(log p) probes, and a part of the tail
 inverts one binomial from an integer root that lies below it by AM-GM,
-then walks up by a few exact ratio steps), and a solution is "good" when
-none of its node residues p - nu_i' nu_j falls in the Farey bad set.  The
-node residues come from one walk over the resolution's nodes
-(`_node_table`, one inverse per divisor, no NodeResidue), which
-`node_residues` and `covers.report` read as it is.  One lazy filter over
-it (`_bad_nodes`) yields the nodes whose residue is a Farey neighbour:
-`is_good` keeps them all as its offending list, and the rejection sampler
-stops a try at the first.  A `GoodnessReport` stores that list only; its
+even roots by isqrt, then walks up by a few exact ratio steps), and a
+solution is "good" when none of its node residues p - nu_i' nu_j falls in
+the Farey bad set.  The node residues come from one walk over the
+resolution's nodes (`_node_table`, one inverse per divisor, no
+NodeResidue), which `node_residues` and `covers.report` read as it is.
+One lazy filter over it (`_bad_nodes`) yields the nodes whose residue is a
+Farey neighbour, by the lazy Farey walk (`numth._farey_hit`) with its
+bounds taken once per try: `is_good` keeps them all as its offending list,
+and the rejection sampler stops a try at the first.  A `GoodnessReport` stores that list only; its
 verdict `good` is read off it.
 
 The suffix counts of the levels before a block's all-ones tail (whose
@@ -33,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 
 from .arrangements import Arrangement, ResolvedArrangement
 from .errors import (
@@ -45,7 +46,10 @@ from .errors import (
     FileFormatError,
     ValidationError,
 )
-from .numth import DEFAULT_FAREY, FareyConfig, is_farey_neighbour, is_prime
+from .numth import DEFAULT_FAREY, FareyConfig, _farey_bounds, _farey_hit, is_prime
+
+# Not used here: bench/spans.py times this under this module.
+from .numth import is_farey_neighbour
 
 __all__ = [
     "DiophBlock",
@@ -79,13 +83,13 @@ __all__ = [
 # rounds of differences over up to L_j k_j entries, so (2, 1 x 1000), 2,002
 # cells, takes 0.6 s there, and (2, 1 x 2000), 4,002 cells, 3.6 s.
 # The node bound is the worst case, in which every try checks every node,
-# as an accepted try does: about 3-5 us a node for gen_ceva(80) and 4-8 us
-# for pg2(7) at 1000003, 14-26 us for dual Hesse at 3e24+7 (draw and assign
-# included; a shared 2-core host whose speed drifts about 2x from run to
-# run).  A rejected try stops at its first Farey hit: there, 10 rejected
-# tries of gen_ceva(80) at 1000003 take 0.18-0.26 s, about three quarters
-# of it the draw, and one rejected dual-Hesse try at 3e24+7 with C = 10^11
-# 160-230 us.
+# as an accepted try does: about 2-3 us a node for gen_ceva(80) and 3-4 us
+# for pg2(7) at 1000003, 10-19 us for dual Hesse at 3e24+7 (draw and assign
+# included, fastest and median try of 5-200; a shared 2-core host whose
+# speed drifts about 2x from run to run).  A rejected try stops at its
+# first Farey hit: there, 10 rejected tries of gen_ceva(80) at 1000003 take
+# 0.21-0.24 s, about three quarters of it the draw, and one rejected
+# dual-Hesse try at 3e24+7 with C = 10^11 100-250 us.
 MAX_SUFFIX_CELLS = 2_500_000
 MAX_SAMPLING_NODES = 1_000_000
 
@@ -255,14 +259,19 @@ def count_solutions(sys: DiophSystem) -> int:
 def _iroot(x: int, k: int) -> int:
     """floor(x ** (1/k)) for x >= 0 and k >= 1, in integers alone.
 
-    Newton's step r -> ((k-1) r + x // r^(k-1)) // k never goes below the
-    floor root from above, and stops there.  It starts from (y + 1) 2^s,
-    where y is the root of x >> ks and s is about half the root's bits, so
-    the start is an upper bound that already has half the bits right; a
-    root below 64 starts from 2^ceil(bits / k) instead.
+    An even root is the (k/2)-th root of isqrt(x), since floor roots
+    compose: floor(y^(1/m)) = floor(floor(y)^(1/m)) for every real y >= 0.
+    An odd root takes Newton's step r -> ((k-1) r + x // r^(k-1)) // k,
+    which never goes below the floor root from above, and stops there.  It
+    starts from (y + 1) 2^s, where y is the root of x >> ks and s is about
+    half the root's bits, so the start is an upper bound that already has
+    half the bits right; a root below 64 starts from 2^ceil(bits / k)
+    instead.
     """
     if k == 1 or x < 2:
         return x
+    if k % 2 == 0:
+        return _iroot(isqrt(x), k // 2)
     b = x.bit_length()
     s = b // (2 * k)
     r = (_iroot(x >> (k * s), k) + 1) << s if s > 2 else 1 << -(-b // k)
@@ -509,10 +518,13 @@ def node_residues(
 
 def _bad_nodes(resolved: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig):
     """Yield ((i, j), q) for each node whose residue is a Farey neighbour,
-    lazily, in node order: the one Farey filter over _node_table.  A caller
-    that stops at the first node yielded tests none of the nodes after it."""
+    lazily, in node order: the one Farey filter over _node_table, with the
+    bounds taken once per walk.  A caller that stops at the first node
+    yielded tests none of the nodes after it."""
+    p = ma.p
+    droot, bound = _farey_bounds(p, config)
     for pair, q, _ in _node_table(resolved, ma):
-        if is_farey_neighbour(q, ma.p, config):
+        if _farey_hit(q, p, droot, bound):
             yield pair, q
 
 

@@ -15,8 +15,8 @@ from rootcovers.errors import BudgetError, EmptySolutionSetError, ExceptionalVan
 from rootcovers.numth import (
     DEFAULT_FAREY,
     FareyConfig,
-    _euclid,
     _ncf_stats,
+    _reciprocity,
     is_farey_neighbour,
     lt_sqrt_bound,
 )
@@ -218,6 +218,44 @@ def fraction_report(spec: CoverSpec) -> dict:
     }
 
 
+def euclid_lists(q: int, p: int) -> tuple[list[int], list[int]]:
+    """One Euclid pass over p/q = a_0 + 1/(a_1 + ...): the remainders
+    [p, q, r_1, ..., gcd(q, p), 0] and the quotients [a_0, ..., a_n],
+    a_k = r_(k-1) // r_k, both kept as lists."""
+    rems, quots = [p, q], []
+    while q:
+        a = p // q
+        p, q = q, p - a * q
+        quots.append(a)
+        rems.append(q)
+    return rems, quots
+
+
+def hj_stats_of_quotients(a: list[int]) -> tuple[int, int]:
+    """(length, sum e_i) of p/q from its Euclid quotient list a
+    (Hirzebruch-Jung): with n even (else a_n -> a_n - 1, 1),
+    [a_0; ..., a_n] is [a_0+1, 2^(a_1-1), a_2+2, ..., 2^(a_(n-1)-1), a_n+1]."""
+    fix = 1 - len(a) % 2
+    n = len(a) - 1 + fix
+    twos = sum(a[1::2]) - fix - n // 2
+    return n // 2 + 1 + twos, sum(a[0::2]) + fix + n + 2 * twos
+
+
+def node_walk_reference(q: int, p: int, droot: int, bound: int) -> tuple[bool, int, int, int]:
+    """(Farey hit, 12p s(q, p), NCF length, sum e_i) by three loops over one
+    stored pass (euclid_lists): the convergent denominators d of q/p from
+    0/1 zipped with their remainders up to d > droot or r d <= bound, the
+    reciprocity step up the remainders, and the quotient list's
+    Hirzebruch-Jung sums."""
+    rems, quots = euclid_lists(q, p)
+    d_prev, d = 0, 1
+    for r, a in zip(rems[1:], quots):
+        if d > droot or r * d <= bound:
+            break
+        d_prev, d = d, a * d + d_prev
+    return d <= droot, _reciprocity(rems), *hj_stats_of_quotients(quots)
+
+
 def farey_convergent_walk(q: int, p: int, config: FareyConfig = DEFAULT_FAREY) -> bool:
     """Farey membership by the convergents c/d of q/p themselves: numerators
     and denominators from the Euclid quotients, |q d - p c| recomputed at
@@ -225,7 +263,7 @@ def farey_convergent_walk(q: int, p: int, config: FareyConfig = DEFAULT_FAREY) -
     cn, cd = config.C.numerator, config.C.denominator
     rhs = cn * cn * p
     c, d, c_prev, d_prev = 1, 0, 0, 1  # the walk opens with 0/1
-    for a in [0] + _euclid(q, p)[1]:
+    for a in [0] + euclid_lists(q, p)[1]:
         c, d, c_prev, d_prev = a * c + c_prev, a * d + d_prev, c, d
         if d * d > p:
             return False

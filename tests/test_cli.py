@@ -446,8 +446,8 @@ def test_wrong_ncf_sum_exits_as_internal_error(dual_hesse_file, tmp_path, monkey
     real = cv._node_walk
 
     def walk(*args):
-        hit, f, length, e_sum = real(*args)
-        return hit, f, length, e_sum + 1
+        hit, f, length, e_sum, inverse = real(*args)
+        return hit, f, length, e_sum + 1, inverse
 
     monkeypatch.setattr(cv, "_node_walk", walk)
     partition = tmp_path / "row.txt"
@@ -460,14 +460,15 @@ def test_wrong_ncf_sum_exits_as_internal_error(dual_hesse_file, tmp_path, monkey
     assert "error-term identity" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["f", "e_sum"])
+@pytest.mark.parametrize("field", ["f", "e_sum", "inverse"])
 def test_wrong_value_on_a_shared_residue_exits_as_internal_error(
     dual_hesse_file, tmp_path, monkeypatch, capsys, field
 ):
     # (2, ..., 2, p - 16) has 36 nodes and 3 residues; p - 3 is shared by 24
-    # of them and walked once, so corrupting that one walk must still show
+    # of them and walked once, so corrupting that one walk must still show,
+    # q' included, which the walk yields in place of pow(q, -1, p)
     real = cv._node_walk
-    index = ("hit", "f", "length", "e_sum").index(field)
+    index = ("hit", "f", "length", "e_sum", "inverse").index(field)
 
     def walk(q, *args):
         result = list(real(q, *args))

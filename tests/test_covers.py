@@ -490,7 +490,7 @@ def _per_node_fold(ra, ma, config):
     scf_num = ccf_num = lcf = 0
     for node in pt.node_residues(ra, ma):
         q = node.q
-        hit, f, length, e_sum = nt._node_walk(q, p, droot, bound)
+        hit, f, length, e_sum, _ = nt._node_walk(q, p, droot, bound)
         if hit:
             offending.append((node.pair, q))
         scf_num += node.count * f
@@ -600,8 +600,8 @@ def test_wrong_ncf_sum_breaks_the_error_term_identity(monkeypatch):
     real = cv._node_walk
 
     def walk(*args):
-        hit, f, length, e_sum = real(*args)
-        return hit, f, length, e_sum + 1
+        hit, f, length, e_sum, inverse = real(*args)
+        return hit, f, length, e_sum + 1, inverse
 
     monkeypatch.setattr(cv, "_node_walk", walk)
     with pytest.raises(ConsistencyError, match="error-term identity"):
@@ -613,8 +613,8 @@ def test_wrong_reciprocity_value_breaks_the_error_term_identity(monkeypatch):
     real = cv._node_walk
 
     def walk(*args):
-        hit, f, length, e_sum = real(*args)
-        return hit, f + 1, length, e_sum
+        hit, f, length, e_sum, inverse = real(*args)
+        return hit, f + 1, length, e_sum, inverse
 
     monkeypatch.setattr(cv, "_node_walk", walk)
     with pytest.raises(ConsistencyError, match="error-term identity"):
@@ -626,7 +626,7 @@ def _corrupt_the_most_shared_residue(monkeypatch, spec, field):
     most nodes share, and to nothing else; return that residue's weight."""
     (shared, weight), = _residue_weights(spec).most_common(1)
     real = cv._node_walk
-    index = ("hit", "f", "length", "e_sum").index(field)
+    index = ("hit", "f", "length", "e_sum", "inverse").index(field)
 
     def walk(q, *args):
         result = list(real(q, *args))

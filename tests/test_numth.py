@@ -15,8 +15,10 @@ from rootcovers.errors import BudgetError, ConsistencyError
 from oracles import (
     bad_set_enumeration,
     dedekind_fraction,
+    euclid_lists,
     farey_convergent_walk,
     ncf_convergents,
+    node_walk_reference,
 )
 
 PRIMES_200 = nt.primes_between(3, 200)
@@ -523,10 +525,15 @@ NODE_WALK_SCALES = [Fraction(1), Fraction(1, 3), Fraction(3, 2), Fraction(7, 2),
 
 
 def _check_node_walk(q, p, C):
-    # the one-pass kernel against the routes it replaces in report, each
+    # the one forward pass against the three loops over stored lists that it
+    # replaced, and against the routes it replaces in report, each
     # recomputed independently of _euclid where the size allows it
     config = nt.FareyConfig(C)
-    hit, f, length, e_sum = nt._node_walk(q, p, *nt._farey_bounds(p, config))
+    bounds = nt._farey_bounds(p, config)
+    hit, f, length, e_sum, inverse = nt._node_walk(q, p, *bounds)
+    assert (hit, f, length, e_sum) == node_walk_reference(q, p, *bounds)
+    assert nt._euclid(q, p, *bounds)[1] == euclid_lists(q, p)[0]
+    assert inverse == pow(q, -1, p)
     assert hit == nt.is_farey_neighbour(q, p, config) == _squared_farey_walk(q, p, config)
     assert Fraction(f, 12 * p) == dedekind_fraction(q, p)
     assert f == q + pow(q, -1, p) + p * (e_sum - 3 * length)  # 12 s = (q+q')/p + sum(e-3)
@@ -547,7 +554,7 @@ def test_node_walk_matches_the_independent_routes_on_every_residue(C):
 @st.composite
 def _node_walk_case(draw):
     p = _next_prime(draw(st.one_of(st.integers(3, 2000), st.integers(3, 3 * 10**24))))
-    edge = draw(st.sampled_from((None, 1, p - 1, (p - 1) // 2, (p + 1) // 2)))
+    edge = draw(st.sampled_from((None, 1, 2, p - 2, p - 1, (p - 1) // 2, (p + 1) // 2)))
     q = edge if edge is not None else draw(st.integers(1, p - 1))
     return q, p, draw(st.sampled_from(NODE_WALK_SCALES))
 

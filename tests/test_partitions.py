@@ -370,11 +370,13 @@ def test_ones_tail_calls_comb_once_per_part(monkeypatch):
         assert len(calls) == ones
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 240])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8, 16, 17, 32, 240])
 def test_iroot_is_the_floor_root(k):
+    # even k goes through isqrt, odd k through Newton's step
     rng = random.Random(k)
-    values = [rng.randrange(10 ** rng.randrange(1, 200)) for _ in range(300)] + list(range(300))
-    values += [r**k + e for r in range(1, 40) for e in (-1, 0)]  # either side of a power
+    values = [rng.randrange(10 ** rng.randrange(1, 400)) for _ in range(300)] + list(range(300))
+    roots = list(range(1, 40)) + [rng.randrange(2, 10 ** (400 // k + 1)) for _ in range(40)]
+    values += [r**k + e for r in roots for e in (-1, 0, 1)]  # either side of a power
     for x in values:
         r = pt._iroot(x, k)
         assert r**k <= x < (r + 1) ** k
@@ -695,11 +697,11 @@ def test_a_rejected_try_stops_at_its_first_farey_hit(make, args, p, C, monkeypat
     config = FareyConfig(C)
     calls = []
 
-    def counted(q, p, config):
+    def counted(q, p, droot, bound):
         calls.append(q)
-        return numth.is_farey_neighbour(q, p, config)
+        return numth._farey_hit(q, p, droot, bound)
 
-    monkeypatch.setattr(pt, "is_farey_neighbour", counted)
+    monkeypatch.setattr(pt, "_farey_hit", counted)
     stopped_early = 0
     for seed in range(10):
         ma = pt.assign(ra, pt._sample(sysd, random.Random(seed)))
@@ -726,21 +728,48 @@ def test_bad_nodes_yields_is_goods_offending_list_lazily(make, args, p, C, monke
     ids = [div.id for div in ra.divisors]
     calls = []
 
-    def counted(q, p, config):
+    def counted(q, p, droot, bound):
         calls.append(q)
-        return numth.is_farey_neighbour(q, p, config)
+        return numth._farey_hit(q, p, droot, bound)
 
     for seed in range(5):
         ma = pt.assign(ra, pt._sample(pt.system_for(a, p), random.Random(seed)))
         bad = list(pt._bad_nodes(ra, ma, config))
         assert [((ids[i], ids[j]), q) for (i, j), q in bad] == list(pt.is_good(ra, ma, config).offending)
         residues = [q for _, q, _ in pt._node_table(ra, ma)]
-        monkeypatch.setattr(pt, "is_farey_neighbour", counted)
+        monkeypatch.setattr(pt, "_farey_hit", counted)
         calls.clear()
         first = next(pt._bad_nodes(ra, ma, config), None)
         monkeypatch.undo()
         assert first == (bad[0] if bad else None)
         assert calls == residues[: residues.index(first[1]) + 1 if first else None]
+
+
+def test_bad_nodes_takes_its_farey_bounds_once_per_walk(monkeypatch):
+    # two isqrt per walk, not per node: an accepted dual-Hesse try checks
+    # all 36 of its nodes against one _farey_bounds
+    a = ar.gen_ceva(3)
+    ra = ar.resolve(a)
+    p = 1000003
+    sysd = pt.system_for(a, p)
+    good = pt.sample_good(sysd, ra, seed=1, max_tries=100)
+    bounds, calls = numth._farey_bounds, []
+
+    def counted(p, config):
+        calls.append(p)
+        return bounds(p, config)
+
+    # counted wherever the sampler looks the bounds up
+    monkeypatch.setattr(numth, "_farey_bounds", counted)
+    monkeypatch.setattr(pt, "_farey_bounds", counted, raising=False)
+    assert len(ra.nodes) == 36
+    assert list(pt._bad_nodes(ra, good.assignment, numth.DEFAULT_FAREY)) == []
+    assert calls == [p]
+    calls.clear()
+    assert pt.is_good(ra, good.assignment).good and calls == [p]
+    calls.clear()
+    assert pt.sample_good(sysd, ra, seed=1, max_tries=100) == good
+    assert calls == [p] * len(calls) and 1 <= len(calls) <= good.tries
 
 
 def test_goodness_is_decided_by_one_filter():

@@ -43,13 +43,16 @@ def test_every_import_is_used(path):
 
 def test_imports_kept_only_for_the_benchmark():
     # report reads every node residue off one numth._node_walk, so covers
-    # calls none of these four: it imports them only because bench/spans.py
-    # binds them under covers and test_bench_bindings requires every binding
-    # to resolve, so each import goes when its binding does
+    # calls none of its four, and the sampler's Farey filter calls
+    # numth._farey_hit with its bounds taken once per walk, so partitions
+    # never calls is_farey_neighbour: each is imported only because
+    # bench/spans.py binds it there and test_bench_bindings requires every
+    # binding to resolve, so each import goes when its binding does
     kept = {(path.stem, name) for path in MODULES for name in _unused_imports(path)}
     assert kept == {
         ("covers", "node_residues"),
         ("covers", "is_good"),
         ("covers", "_ncf_stats"),
         ("covers", "dedekind_fast"),
+        ("partitions", "is_farey_neighbour"),
     }
