@@ -179,7 +179,8 @@ def _cmd_invariants(args) -> int:
             sysd, resolved, seed=args.seed, max_tries=args.max_tries, config=config
         )
         sol, ma, tries = good.solution, good.assignment, good.tries
-    rep = covers.report(covers.CoverSpec(args.p, resolved, ma, config))
+    spec = covers.CoverSpec(args.p, resolved, ma, config)
+    rep = covers.report(spec) if args.partition else covers._sampled_report(spec)
     parts = partitions.solution_parts(sysd, sol)
 
     out = _Output(args.out)
@@ -481,9 +482,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # main's, built on its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; return its exit code.
+
+    The parser is built on the first call, not at import, and reused by
+    every later call in the process; build_parser() still returns a fresh
+    one.  Each subcommand's handler is bound by set_defaults(run=...) when
+    the parser is built, so a `_cmd_*` function replaced after the first
+    call is not the one that runs.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.run(args)
     except BudgetError as exc:

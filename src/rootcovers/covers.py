@@ -21,6 +21,9 @@ folds them in exact integers (12p s and p c are integers) and checks
 12 chi = c1^2 + c2, the per-node identity c = 12 s + l, and that each
 invariant comes out integral; a failure of any of them is an internal bug,
 never bad input.
+A cover that `sample_good` accepted goes through `_sampled_report`, which
+raises ConsistencyError if `report` finds any node in the bad set: the
+sampler's Farey walk and `report`'s are two routes to one verdict.
 A `ChernReport` stores what `report` computed (the invariants, the error
 terms, the offending nodes, the bound check); its verdict `good` and its
 ratios are read off those, and a ratio with denominator 0 is None.
@@ -271,6 +274,25 @@ def report(spec: CoverSpec) -> ChernReport:
     )
 
 
+def _sampled_report(spec: CoverSpec) -> ChernReport:
+    """report of a cover that sample_good accepted, which must come out good.
+
+    The sampler's lazy Farey walk (numth._farey_hit) and report's
+    (numth._node_walk) are two routes to one verdict, so a node that report
+    finds in the bad set here is a bug, raised as ConsistencyError.  A
+    cover read from a partition file has no sampler verdict; report it as
+    it is.
+    """
+    rep = report(spec)
+    if rep.offending:
+        (i, j), q = rep.offending[0]
+        raise ConsistencyError(
+            f"node {i}-{j} (q={q}) of a sampled cover: the sampler's Farey walk "
+            "found it good, report's found it in the bad set"
+        )
+    return rep
+
+
 # ---------------------------------------------------------------------------
 # Convergence experiments
 
@@ -381,7 +403,7 @@ def convergence_scan(
                 good = sample_good(
                     sysd, resolved, seed=sseed, max_tries=max_tries, config=config
                 )
-                rep = report(CoverSpec(p, resolved, good.assignment, config))
+                rep = _sampled_report(CoverSpec(p, resolved, good.assignment, config))
                 if rep.c2 == 0:
                     reason = f"sample {k} has c2 = 0, so c1^2/c2 is undefined"
                     break

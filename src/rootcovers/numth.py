@@ -13,15 +13,19 @@ where it is known and yields the inverse q' at its last step.  A cover's
 node reads all of it off one pass (`_node_walk`), made once per distinct
 residue of the cover; Farey membership on its own (`_farey_hit`, under
 `is_farey_neighbour` and the sampler) walks the remainders lazily, stopping
-where the verdict is known.  The bad set is the images r * d^-1 mod p,
-O(C sqrt(p) log p + sqrt(p)).  Every Farey route reads its radius from
-`_farey_bounds`: `is_farey_neighbour` and `bad_set` once per call, the
-sampler once per try and `report` once per cover, handing it to
-`_farey_hit` and `_node_walk`.  A residue that shares a factor with p is refused with one
-message, by `mod_inverse` and by the reciprocity step alike.  Everything is
-exact: Python integers and `Fraction`, no floating point; sqrt(p) bounds go
-through isqrt or are squared, and log(p) bounds through a rational
-enclosure of the logarithm.
+where the verdict is known.  `canonical_part` and `dedekind_from_ncf` read
+q' and gcd(q, p) off their one pass too.  The bad set is the images
+r * d^-1 mod p, O(C sqrt(p) log p + sqrt(p)): the inverses from one linear
+table, the images of r >= 1 in batched rows and columns of C-level `map`
+calls, and those of -r as their mirror p - x.  Every Farey route reads its
+radius from `_farey_bounds`: `is_farey_neighbour` and `bad_set` once per
+call, the sampler once per try and `report` once per cover, handing it to
+`_farey_hit` and `_node_walk`.  A residue that shares a factor with p is
+refused with one message, by `mod_inverse`, the one-pass kernels and the
+reciprocity step alike.  Everything is exact: Python integers and
+`Fraction`, no floating point; sqrt(p) bounds go through isqrt or are
+squared, and log(p) bounds through a rational enclosure of the logarithm,
+which reads its power of 2 off bit lengths.
 
 Primality is Miller-Rabin over one (base, psi_t) table: bases up to a prove
 every n < psi_t, and the last psi_t is the witness bound, so the two agree.
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import BudgetError, ConsistencyError
@@ -85,7 +90,9 @@ MAX_PRIME_RANGE = 1_000_000
 MAX_NCF_LENGTH = 1_000_000
 # Largest prime whose Farey bad set bad_set will enumerate.
 MAX_BADSET_P = 10_000_000
-# Most residues a bad_set may reach (a set of 10^6 takes about 84 MB).
+# Most residues a bad_set may reach.  Measured with tracemalloc: at
+# p = 9999991, C = 73/4 (reach 996,812) the set of 641,841 members holds
+# 54 MB and its build peaks at 73 MB; a set of 10^6 residues holds 66 MB.
 MAX_BADSET_MEMBERS = 1_000_000
 
 
@@ -260,10 +267,18 @@ def _ncf_stats(q: int, p: int) -> tuple[int, int]:
     return _hj_stats(len(rems) - 2, even, odd)
 
 
+def _ncf_inverse(q: int, p: int) -> tuple[int, int, int]:
+    """(length, sum e_i, q') of p/q from one Euclid pass, which also ends at
+    gcd(q, p); q is refused as mod_inverse refuses it, range first."""
+    _check_residue(q, p)
+    _, rems, even, odd, inverse = _euclid(q, p)
+    _check_coprime(q, p, rems[-2])
+    return *_hj_stats(len(rems) - 2, even, odd), inverse
+
+
 def canonical_part(q: int, p: int) -> Fraction:
     """(q + q')/p + sum(e_i - 2): the per-node first-Chern correction."""
-    q2 = mod_inverse(q, p)
-    s, tot = _ncf_stats(q, p)
+    s, tot, q2 = _ncf_inverse(q, p)
     return Fraction(q + q2 + p * (tot - 2 * s), p)
 
 
@@ -317,8 +332,7 @@ def dedekind_fast(q: int, p: int) -> Fraction:
 def dedekind_from_ncf(q: int, p: int) -> Fraction:
     """Dedekind sum recovered from the continued fraction:
     s(q,p) = ((q + q')/p + sum(e_i - 3)) / 12."""
-    q2 = mod_inverse(q, p)
-    s, tot = _ncf_stats(q, p)
+    s, tot, q2 = _ncf_inverse(q, p)
     return Fraction(q + q2 + p * (tot - 3 * s), 12 * p)
 
 
@@ -415,6 +429,14 @@ def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:
     c'/d' since g a(g d') <= a(d').  O(C sqrt(p) log p + sqrt(p)) work; p above
     MAX_BADSET_P or a reach min(p, sum_d (2 a(d) + 1)) above MAX_BADSET_MEMBERS
     raises BudgetError before enumerating (is_farey_neighbour has no bound).
+
+    The inverses come from one table, d^-1 = -(p // d) (p mod d)^-1, exact
+    for prime p and d <= sqrt(p) < p.  Only r >= 1 is enumerated, and the
+    set is those images, their mirrors p - x (the images of -r) and 0.  No
+    Python loop runs per member: with k = min(isqrt(p), isqrt(a(1))), each
+    row d <= k goes in as one `map` over r d^-1 for r <= a(d), and each
+    column r <= a(k + 1) as one `map` over r d^-1 for the d > k with
+    d <= a(1) // r, which is r <= a(d); about 2 sqrt(a(1)) batches in all.
     """
     if p > MAX_BADSET_P:
         raise BudgetError(
@@ -427,10 +449,22 @@ def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:
         raise BudgetError(f"bad_set may hold {reach} residues; budget {MAX_BADSET_MEMBERS}")
     if 2 * bound + 1 >= p:  # the d = 1 residues alone cover Z/p
         return set(range(p))
+    # d^-1 = -(p // d) (p mod d)^-1 (mod p), from p = (p // d) d + p mod d
+    inv = [0, 1]
+    for d in range(2, droot + 1):
+        inv.append((p - p // d) * inv[p % d] % p)
+    # the images of r >= 1: rows r d^-1 for d <= k, then columns r (d^-1 for
+    # every d > k with r <= a(d), i.e. d <= bound // r), one batch each
+    k = min(droot, isqrt(bound))
     out: set[int] = set()
-    for d, a in enumerate(radii, 1):
-        inv = pow(d, -1, p)
-        out.update(r * inv % p for r in range(-a, a + 1))
+    for d in range(1, k + 1):
+        i = inv[d]
+        out.update(map(p.__rmod__, range(i, radii[d - 1] * i + 1, i)))
+    for r in range(1, bound // (k + 1) + 1):
+        out.update(map(p.__rmod__, map(r.__mul__, inv[k + 1 : min(droot, bound // r) + 1])))
+    # -r maps to p minus r's image, never to 0, since 0 < r <= bound < p / 2
+    out.update(map(p.__sub__, tuple(out)))
+    out.add(0)
     return out
 
 
@@ -461,26 +495,36 @@ def _atanh_enclosure(u: Fraction, terms: int) -> tuple[Fraction, Fraction]:
     return acc, acc + tail
 
 
+@lru_cache(maxsize=4)  # badset_bound_holds asks for 12, 24, 48 and 96 terms
+def _log2_enclosure(terms: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of atanh(1/3) = log(2) / 2."""
+    return _atanh_enclosure(Fraction(1, 3), terms)
+
+
 def log_enclosure(x: Fraction, terms: int = 12) -> tuple[Fraction, Fraction]:
     """Rational enclosure of log(x) for x > 0.
 
-    Reduces x to m * 2^k with 1 <= m < 2 and uses
+    Writes x = m * 2^k with 1 <= m < 2 and uses
     log 2 = 2 atanh(1/3), log m = 2 atanh((m-1)/(m+1)); both series have
-    ratio <= 1/9 so a dozen terms already give ~12 correct digits.
+    ratio <= 1/9 so a dozen terms already give ~12 correct digits.  k is
+    read off the bit lengths of x's numerator and denominator, which put
+    x / 2^k in (1/2, 2), so at most one doubling is left; the log 2
+    enclosure is made once per number of terms.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError("log_enclosure needs x > 0")
-    k = 0
-    m = x
-    while m >= 2:
-        m /= 2
-        k += 1
-    while m < 1:
-        m *= 2
+    num, den = x.numerator, x.denominator
+    k = num.bit_length() - den.bit_length()
+    if k >= 0:
+        den <<= k
+    else:
+        num <<= -k
+    if num < den:
+        num <<= 1
         k -= 1
-    lo2, hi2 = _atanh_enclosure(Fraction(1, 3), terms)
-    lom, him = _atanh_enclosure((m - 1) / (m + 1), terms)
+    lo2, hi2 = _log2_enclosure(terms)
+    lom, him = _atanh_enclosure(Fraction(num - den, num + den), terms)  # m = num / den
     if k >= 0:
         return 2 * (k * lo2 + lom), 2 * (k * hi2 + him)
     return 2 * (k * hi2 + lom), 2 * (k * lo2 + him)

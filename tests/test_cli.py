@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import re
 from time import perf_counter
 
 import pytest
 
 from rootcovers import arrangements as ar
+from rootcovers import cli
 from rootcovers import covers as cv
 from rootcovers import numth, partitions, tables
 from rootcovers.cli import (
@@ -358,6 +360,72 @@ def test_internal_error_has_own_exit_code(dual_hesse_file, monkeypatch, capsys, 
     assert code == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "internal error" in err and "routes disagree" in err
+
+
+def _break_farey_route(route, monkeypatch):
+    """Make the sampler pass every node, or report flip every verdict."""
+    if route == "sampler":
+        monkeypatch.setattr(partitions, "_farey_hit", lambda q, p, droot, bound: False)
+        return
+    real = cv._node_walk
+
+    def walk(*args):
+        hit, *rest = real(*args)
+        return (not hit, *rest)
+
+    monkeypatch.setattr(cv, "_node_walk", walk)
+
+
+@pytest.mark.parametrize("route", ["sampler", "report"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["invariants", "--p", "61169", "--seed", "1"],
+        ["scan", "--primes", "10103,61169", "--samples", "3", "--seed", "1"],
+    ],
+    ids=["invariants", "scan"],
+)
+def test_a_sampled_cover_that_reports_bad_exits_as_internal_error(
+    route, command, dual_hesse_file, monkeypatch, capsys
+):
+    _break_farey_route(route, monkeypatch)
+    code = main([*command, "--arrangement", dual_hesse_file])
+    assert code == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"internal error \(a bug, not bad input\): node \S+-\S+ \(q=\d+\) of a sampled "
+        r"cover: the sampler's Farey walk found it good, report's found it in the bad set\n",
+        captured.err,
+    )
+
+
+def test_a_partition_file_is_reported_bad_as_it_is(dual_hesse_file, tmp_path, capsys):
+    partition = tmp_path / "row.txt"
+    partition.write_text("p 61169\nblock 1 2 3 4 5 6 7 8 61133\n")
+    code = main([
+        "invariants", "--arrangement", dual_hesse_file, "--p", "61169",
+        "--partition", str(partition),
+    ])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "good = False\n" in out and "offending nodes: " in out
+
+
+def test_main_builds_its_parser_at_most_once(monkeypatch, capsys):
+    calls = []
+    real = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["numth", "length", "5", "7"]) == EXIT_OK
+    assert main(["numth", "mod-inverse", "3", "7"]) == EXIT_OK
+    assert capsys.readouterr().out == "3\n5\n"
+    assert len(calls) <= 1
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_scan_nonprime_rejected(dual_hesse_file, capsys):

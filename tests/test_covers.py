@@ -746,6 +746,35 @@ def test_convergence_scan_skips_a_prime_with_no_solution():
     assert result.samples == alone.samples
 
 
+def _break_farey_route(route, monkeypatch):
+    """Make the sampler pass every node, or report flip every verdict."""
+    if route == "sampler":
+        monkeypatch.setattr(pt, "_farey_hit", lambda q, p, droot, bound: False)
+        return
+    real = cv._node_walk
+
+    def walk(*args):
+        hit, *rest = real(*args)
+        return (not hit, *rest)
+
+    monkeypatch.setattr(cv, "_node_walk", walk)
+
+
+@pytest.mark.parametrize("route", ["sampler", "report"])
+def test_a_sampled_cover_that_reports_bad_is_an_internal_error(route, monkeypatch):
+    dh = ar.gen_ceva(3)
+    _break_farey_route(route, monkeypatch)
+    p, seed = 61169, 1
+    good = pt.sample_good(pt.system_for(dh, p), ar.resolve(dh), seed=cv._mix_seed(seed, p, 0))
+    (i, j), q = cv.report(cv.CoverSpec(p, ar.resolve(dh), good.assignment)).offending[0]
+    with pytest.raises(ConsistencyError) as info:
+        cv.convergence_scan(dh, [p], samples_per_prime=3, seed=seed)
+    assert str(info.value) == (
+        f"node {i}-{j} (q={q}) of a sampled cover: the sampler's Farey walk "
+        "found it good, report's found it in the bad set"
+    )
+
+
 def test_convergence_scan_rejects_degenerate():
     with pytest.raises(ValueError):
         cv.convergence_scan(ar.gen_general_lines(3), [61169], 1, seed=1)

@@ -1,6 +1,7 @@
 """Exact kernels: continued fractions, Dedekind sums, Farey bad set."""
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from time import perf_counter
@@ -423,6 +424,15 @@ def test_bad_set_matches_enumeration_oracle_large_p(n, C):
     assert nt.bad_set(p, config) == bad_set_enumeration(p, config)
 
 
+@pytest.mark.parametrize("C", [Fraction(1), Fraction(1, 3)], ids=["C1", "C1_3"])
+@pytest.mark.parametrize("p", [1000003, 1999993])
+def test_bad_set_matches_enumeration_oracle_at_exact_rows_sizes(p, C):
+    # the primes and scales of the benchmark's bad-set requests, where the
+    # rows, the columns and the mirrored half all carry members
+    config = nt.FareyConfig(C)
+    assert nt.bad_set(p, config) == bad_set_enumeration(p, config)
+
+
 def test_bad_set_huge_C_is_everything_at_once():
     # the d = 1 images alone would be about 2 * 10^13 residues
     start = perf_counter()
@@ -572,6 +582,76 @@ def test_property_node_walk_matches_the_independent_routes(qpc):
 def test_node_walk_refuses_a_residue_sharing_a_factor_with_p():
     with pytest.raises(ValueError, match=r"gcd\(6, 15\) = 3"):
         nt._node_walk(6, 15, *nt._farey_bounds(15, nt.DEFAULT_FAREY))
+
+
+def _atanh_by_terms(u, terms):
+    acc, power, usq = Fraction(0), u, u * u
+    for j in range(terms):
+        acc += power / (2 * j + 1)
+        power *= usq
+    return acc, acc + power / ((2 * terms + 1) * (1 - usq))
+
+
+def _log_enclosure_by_halving(x, terms):
+    """log_enclosure as it was first written: halve or double x into [1, 2),
+    then enclose log 2 and log m by the atanh series."""
+    k, m = 0, Fraction(x)
+    while m >= 2:
+        m /= 2
+        k += 1
+    while m < 1:
+        m *= 2
+        k -= 1
+    lo2, hi2 = _atanh_by_terms(Fraction(1, 3), terms)
+    lom, him = _atanh_by_terms((m - 1) / (m + 1), terms)
+    if k >= 0:
+        return 2 * (k * lo2 + lom), 2 * (k * hi2 + him)
+    return 2 * (k * hi2 + lom), 2 * (k * lo2 + him)
+
+
+def _log_points():
+    rng = random.Random(26)
+    below_one = [Fraction(rng.randrange(1, 10**9), rng.randrange(10**9, 10**12)) for _ in range(20)]
+    one_to_two = [Fraction(n, d) for d in (rng.randrange(1, 10**9) for _ in range(20))
+                  for n in [rng.randrange(d, 2 * d)]]
+    powers = [Fraction(2) ** k for k in (-40, -3, -1, 0, 1, 2, 22, 200)]
+    large = [Fraction(rng.randrange(1, 2**200), rng.randrange(1, 2**20)) for _ in range(8)]
+    edges = [Fraction(2**k - 1, 2**k) for k in (1, 5, 60)] + [Fraction(2**60 + 1, 2**60)]
+    return below_one + one_to_two + powers + large + edges + [Fraction(4 * 1999993)]
+
+
+@pytest.mark.parametrize("terms", [3, 12, 24, 96])
+def test_log_enclosure_equals_the_halving_loop(terms):
+    for x in _log_points():
+        assert nt.log_enclosure(x, terms) == _log_enclosure_by_halving(x, terms), x
+
+
+def _canonical_and_chain_by_mod_inverse(q, p):
+    s, tot = nt._ncf_stats(q, p)
+    q2 = nt.mod_inverse(q, p)
+    return Fraction(q + q2 + p * (tot - 2 * s), p), Fraction(q + q2 + p * (tot - 3 * s), 12 * p)
+
+
+def test_canonical_part_and_chain_read_q_inverse_off_their_one_pass():
+    cases = [(q, p) for p in PRIMES_200 for q in range(1, p)]
+    rng = random.Random(8)
+    for p in (1000003, 999999999989, 999999999999999989):
+        cases += [(rng.randrange(1, p), p) for _ in range(200)] + [(1, p), (2, p), (p - 1, p)]
+    for q, p in cases:
+        want = _canonical_and_chain_by_mod_inverse(q, p)
+        assert (nt.canonical_part(q, p), nt.dedekind_from_ncf(q, p)) == want, (q, p)
+
+
+@pytest.mark.parametrize("kernel", [nt.canonical_part, nt.dedekind_from_ncf])
+def test_canonical_part_and_chain_refuse_the_range_before_the_gcd(kernel):
+    for q, p in ((0, 101), (101, 101), (0, 15), (15, 15), (-3, 15), (20, 15)):
+        with pytest.raises(ValueError) as info:
+            kernel(q, p)
+        assert str(info.value) == f"need 0 < q < p, got q={q}, p={p}"
+    for q, p, g in ((6, 15, 3), (10, 25, 5), (21, 49, 7), (12, 18, 6)):
+        with pytest.raises(ValueError) as info:
+            kernel(q, p)
+        assert str(info.value) == f"need gcd(q, p) = 1, got gcd({q}, {p}) = {g}"
 
 
 def test_kernels_refuse_inputs_outside_their_domain():
