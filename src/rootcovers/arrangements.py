@@ -391,6 +391,15 @@ def gen_general_lines(d: int) -> Arrangement:
     return Arrangement(P2, 1, curves, points, line_arrangement=True)
 
 
+def _pencil_triple_points(m: int) -> list[PointDecl]:
+    """The m^2 points where A_a, B_b and C_c meet: c = a + b (mod m)."""
+    return [
+        PointDecl((f"A{a}", f"B{b}", f"C{(a + b) % m}"))
+        for a in range(m)
+        for b in range(m)
+    ]
+
+
 def gen_ceva(m: int) -> Arrangement:
     """The 3m-line pencil arrangement of degree m.
 
@@ -411,11 +420,7 @@ def gen_ceva(m: int) -> Arrangement:
         for t in names
         for a in range(m)
     )
-    points = [
-        PointDecl((f"A{a}", f"B{b}", f"C{(a + b) % m}"))
-        for a in range(m)
-        for b in range(m)
-    ]
+    points = _pencil_triple_points(m)
     for t in names:
         points.append(PointDecl(tuple(f"{t}{a}" for a in range(m))))
     return Arrangement(P2, 1, curves, tuple(points), line_arrangement=True)
@@ -471,12 +476,9 @@ def gen_underline_ceva(m: int) -> Arrangement:
         for b, t in enumerate(names)
         for a in range(m)
     )
-    points = tuple(
-        PointDecl((f"A{a}", f"B{b}", f"C{(a + b) % m}"))
-        for a in range(m)
-        for b in range(m)
+    return Arrangement(
+        surface, 3, curves, tuple(_pencil_triple_points(m)), line_arrangement=False
     )
-    return Arrangement(surface, 3, curves, points, line_arrangement=False)
 
 
 def gen_p1xp1(d1: int, d2: int, d3: int) -> Arrangement:

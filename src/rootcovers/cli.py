@@ -9,11 +9,15 @@ scan                                 good-sample ratios across primes (CSV)
 badset                               Farey bad-set statistics or members
 numth                                debug access to the exact kernels
 
-Every emitted result embeds its run manifest (command, inputs, seed, C,
-tool version), and reruns with the same manifest produce byte-identical
-output.  Exit codes: 0 ok, 2 validation/parse, 3 budget, 4 sampling
-exhausted, 5 table mismatch, 6 internal error (a failed cross-check: a
-bug, never bad input).
+Handlers only compute: each fills the `_Output` that `main` hands it, and
+`main` writes it once the handler returns.  The result goes to --out, or
+to stdout without it; the notes (scan's per-prime summary) follow it, on
+stdout when the result went to --out and on stderr when it went to
+stdout; errors go to stderr.  Every emitted result embeds its run
+manifest (command, inputs, seed, C, tool version), and reruns with the
+same manifest produce byte-identical output.  Exit codes: 0 ok, 2
+validation/parse, 3 budget, 4 sampling exhausted, 5 table mismatch, 6
+internal error (a failed cross-check: a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -60,22 +64,29 @@ def _fr(x: Fraction | None) -> str | None:
 
 
 class _Output:
-    """Collects lines and writes them to --out or stdout at the end."""
+    """A command's result lines and the notes that follow them."""
 
     def __init__(self, path: str | None):
         self.path = path
         self.lines: list[str] = []
+        self.notes: list[str] = []
 
-    def emit(self, line: str = "") -> None:
-        self.lines.append(line)
+    def emit(self, *lines: str) -> None:
+        self.lines.extend(lines)
 
     def finish(self) -> None:
+        """Write the result to --out or stdout, then the notes after it: on
+        stdout when the result went to --out, else on stderr."""
         text = "\n".join(self.lines) + "\n"
         if self.path:
             with open(self.path, "w", encoding="utf-8") as fh:
                 fh.write(text)
+            notes_to = sys.stdout
         else:
             sys.stdout.write(text)
+            notes_to = sys.stderr
+        if self.notes:
+            notes_to.write("\n".join(self.notes) + "\n")
 
 
 def _manifest_lines(args, command: str, extra: dict | None = None) -> list[str]:
@@ -97,44 +108,44 @@ def _manifest_lines(args, command: str, extra: dict | None = None) -> list[str]:
 # arrangement subcommand
 
 
-def _cmd_arrangement(args) -> int:
-    out = _Output(args.out)
-    if args.action == "generate":
-        gen = arr.GENERATORS[args.kind]
-        names = inspect.signature(gen).parameters
-        if len(args.params) != len(names):
-            raise ValidationError(
-                "bad-params",
-                f"generator {args.kind} takes {len(names)} parameter(s): {' '.join(names)}",
-            )
-        out.emit(arr.to_text(gen(*args.params)).removesuffix("\n"))
-        out.finish()
-        return EXIT_OK
+def _cmd_generate(args, out: _Output) -> int:
+    gen = arr.GENERATORS[args.kind]
+    names = inspect.signature(gen).parameters
+    if len(args.params) != len(names):
+        raise ValidationError(
+            "bad-params",
+            f"generator {args.kind} takes {len(names)} parameter(s): {' '.join(names)}",
+        )
+    out.emit(arr.to_text(gen(*args.params)).removesuffix("\n"))
+    return EXIT_OK
 
+
+def _cmd_validate(args, out: _Output) -> int:
     a = arr.load(args.arrangement)
-    if args.action == "validate":
-        out.emit(f"arrangement {args.arrangement}: valid")
-        out.emit(f"d={a.d} blocks={a.blocks} points={len(a.points)}")
-        if a.line_arrangement:
-            diag = arr.diagnostics(a)
-            out.emit(
-                "incidence-bound "
-                f"{'PASS' if diag.incidence_holds else 'FAIL'} "
-                f"(t2+3/4*t3 = {_fr(diag.incidence_lhs)}, floor = {_fr(diag.incidence_rhs)})"
-            )
-            out.emit(f"pair-floor {'PASS' if diag.pair_floor_holds else 'FAIL'}")
-            out.emit(f"ratio-cap {'PASS' if diag.ratio_bound_holds else 'FAIL'}")
-        out.finish()
-        return EXIT_OK
+    out.emit(f"arrangement {args.arrangement}: valid",
+             f"d={a.d} blocks={a.blocks} points={len(a.points)}")
+    if a.line_arrangement:
+        diag = arr.diagnostics(a)
+        out.emit(
+            "incidence-bound "
+            f"{'PASS' if diag.incidence_holds else 'FAIL'} "
+            f"(t2+3/4*t3 = {_fr(diag.incidence_lhs)}, floor = {_fr(diag.incidence_rhs)})",
+            f"pair-floor {'PASS' if diag.pair_floor_holds else 'FAIL'}",
+            f"ratio-cap {'PASS' if diag.ratio_bound_holds else 'FAIL'}",
+        )
+    return EXIT_OK
 
-    # info
+
+def _cmd_info(args, out: _Output) -> int:
+    a = arr.load(args.arrangement)
     lc = arr.log_chern_direct(a)
-    out.emit(f"surface: {a.surface.name} (c1^2={a.surface.c1_sq}, c2={a.surface.c2})")
-    out.emit(f"curves: d={a.d} in {a.blocks} block(s)")
-    for n, tn in sorted(a.data.t.items()):
-        out.emit(f"t_{n} = {tn}")
-    out.emit(f"log c1^2 = {lc.c1bar_sq}")
-    out.emit(f"log c2   = {lc.c2bar}")
+    out.emit(
+        f"surface: {a.surface.name} (c1^2={a.surface.c1_sq}, c2={a.surface.c2})",
+        f"curves: d={a.d} in {a.blocks} block(s)",
+        *(f"t_{n} = {tn}" for n, tn in sorted(a.data.t.items())),
+        f"log c1^2 = {lc.c1bar_sq}",
+        f"log c2   = {lc.c2bar}",
+    )
     if lc.c2bar != 0:
         out.emit(
             f"log ratio = {_fr(lc.ratio)} "
@@ -142,7 +153,6 @@ def _cmd_arrangement(args) -> int:
         )
     else:
         out.emit("log ratio undefined (c2 = 0)")
-    out.finish()
     return EXIT_OK
 
 
@@ -154,7 +164,7 @@ def _partition_text(parts) -> str:
     return "|".join("+".join(str(x) for x in block) for block in parts)
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args, out: _Output) -> int:
     if not is_prime(args.p):
         raise ValidationError("p-prime", f"--p {args.p} is not prime")
     config = FareyConfig(args.C)
@@ -169,27 +179,24 @@ def _cmd_invariants(args) -> int:
     a = arr.load(args.arrangement)
     resolved = arr.resolve(a)
     sysd = partitions.system_for(a, args.p)
-    tries = None
     if args.partition:
         with open(args.partition, encoding="utf-8") as fh:
             sol = partitions.solution_from_text(sysd, fh.read())
-        ma = partitions.assign(resolved, sol)
+        ma, tries, report = partitions.assign(resolved, sol), None, covers.report
     else:
         good = partitions.sample_good(
             sysd, resolved, seed=args.seed, max_tries=args.max_tries, config=config
         )
         sol, ma, tries = good.solution, good.assignment, good.tries
-    spec = covers.CoverSpec(args.p, resolved, ma, config)
-    rep = covers.report(spec) if args.partition else covers._sampled_report(spec)
+        report = covers._sampled_report
+    rep = report(covers.CoverSpec(args.p, resolved, ma, config))
     parts = partitions.solution_parts(sysd, sol)
 
-    out = _Output(args.out)
     manifest = _manifest_lines(args, "invariants", {"tries": tries})
     if args.format == "csv":
-        for line in manifest:
-            out.emit(line)
-        out.emit("p,partition,chi,c1_sq,c2,ratio_c,ratio_chi,good,tries")
         out.emit(
+            *manifest,
+            "p,partition,chi,c1_sq,c2,ratio_c,ratio_chi,good,tries",
             f"{args.p},{_partition_text(parts)},{rep.chi},{rep.c1_sq},{rep.c2},"
             f"{_fr(rep.ratio_c) or ''},{_fr(rep.ratio_chi) or ''},{rep.good},"
             f"{'' if tries is None else tries}"
@@ -213,30 +220,23 @@ def _cmd_invariants(args) -> int:
         }
         out.emit(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for line in manifest:
-            out.emit(line)
-        out.emit(f"p = {args.p}")
-        out.emit(f"partition = {_partition_text(parts)}")
+        out.emit(*manifest, f"p = {args.p}", f"partition = {_partition_text(parts)}")
         if tries is not None:
             out.emit(f"sampler tries = {tries}")
-        out.emit(f"chi   = {rep.chi}")
-        out.emit(f"c1^2  = {rep.c1_sq}")
-        out.emit(f"c2    = {rep.c2}")
+        out.emit(f"chi   = {rep.chi}", f"c1^2  = {rep.c1_sq}", f"c2    = {rep.c2}")
         for den, ratio in (("c2", rep.ratio_c), ("chi", rep.ratio_chi)):
             if ratio is None:
                 shown = f"undefined ({den} = 0)"
             else:
                 shown = f"{_fr(ratio)} ({covers.truncate_decimal(ratio, 3)}...)"
             out.emit(f"c1^2/{den:<3} = {shown}")
-        out.emit(f"good = {rep.good}")
-        out.emit(f"error bounds hold = {rep.bounds_ok}")
+        out.emit(f"good = {rep.good}", f"error bounds hold = {rep.bounds_ok}")
         if not rep.good:
             shown = ", ".join(
                 f"{i}-{j}: q={q}" for (i, j), q in rep.offending[:6]
             )
             more = len(rep.offending) - 6
             out.emit(f"offending nodes: {shown}" + (f" (+{more} more)" if more > 0 else ""))
-    out.finish()
     return EXIT_OK
 
 
@@ -244,15 +244,12 @@ def _cmd_invariants(args) -> int:
 # tables subcommand
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args, out: _Output) -> int:
     run = tables.run_table(args.which)
-    out = _Output(args.out)
     out.emit(f"# table {run.name}: {run.title}")
-    failures = 0
+    failures = sum(not row.ok for row in run.rows)
     for row in run.rows:
         status = "PASS" if row.ok else "FAIL"
-        if not row.ok:
-            failures += 1
         detail = " ".join(
             f"{key}={row.computed[key]}(expected {row.expected[key]})"
             if row.computed[key] != row.expected[key]
@@ -264,7 +261,6 @@ def _cmd_tables(args) -> int:
             f"{_partition_text(row.parts)} {detail}"
         )
     out.emit(f"{'PASS' if failures == 0 else 'FAIL'}: {len(run.rows) - failures}/{len(run.rows)} rows match")
-    out.finish()
     return EXIT_OK if failures == 0 else EXIT_TABLE_MISMATCH
 
 
@@ -291,7 +287,7 @@ def _parse_primes(text: str) -> list[int]:
     return primes
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args, out: _Output) -> int:
     config = FareyConfig(args.C)
     if args.samples < 1:
         raise ValueError(f"need at least 1 sample per prime, got {args.samples}")
@@ -307,10 +303,10 @@ def _cmd_scan(args) -> int:
         config=config,
         max_tries=args.max_tries,
     )
-    out = _Output(args.out)
-    for line in _manifest_lines(args, "scan", {"log_ratio": _fr(result.log_ratio)}):
-        out.emit(line)
-    out.emit("p,sample,seed,tries,partition,chi,c1_sq,c2,ratio_c,ratio_chi,good")
+    out.emit(
+        *_manifest_lines(args, "scan", {"log_ratio": _fr(result.log_ratio)}),
+        "p,sample,seed,tries,partition,chi,c1_sq,c2,ratio_c,ratio_chi,good",
+    )
     for s in result.samples:
         rep = s.report
         out.emit(
@@ -318,19 +314,15 @@ def _cmd_scan(args) -> int:
             f"{rep.chi},{rep.c1_sq},{rep.c2},{_fr(rep.ratio_c)},"
             f"{_fr(rep.ratio_chi) or ''},{rep.good}"
         )
-    out.finish()
-    summary = []
-    for s in result.summaries:
-        summary.append(
-            f"p={s.p} samples={s.samples} "
-            f"min={covers.truncate_decimal(s.ratio_min, 3)} "
-            f"median={covers.truncate_decimal(s.ratio_median, 3)} "
-            f"max={covers.truncate_decimal(s.ratio_max, 3)} "
-            f"|median-log|={covers.truncate_decimal(s.gap, 4)}"
-        )
-    for p, reason in result.skipped:
-        summary.append(f"p={p} skipped: {reason}")
-    (sys.stdout if args.out else sys.stderr).write("\n".join(summary) + "\n")
+    out.notes += (
+        f"p={s.p} samples={s.samples} "
+        f"min={covers.truncate_decimal(s.ratio_min, 3)} "
+        f"median={covers.truncate_decimal(s.ratio_median, 3)} "
+        f"max={covers.truncate_decimal(s.ratio_max, 3)} "
+        f"|median-log|={covers.truncate_decimal(s.gap, 4)}"
+        for s in result.summaries
+    )
+    out.notes += (f"p={p} skipped: {reason}" for p, reason in result.skipped)
     return EXIT_OK
 
 
@@ -338,50 +330,34 @@ def _cmd_scan(args) -> int:
 # numth subcommand (debug surface over the exact kernels)
 
 
-def _cmd_numth(args) -> int:
-    op = args.op
-    vals = args.values
+def _cmd_numth(args, out: _Output) -> int:
+    op, vals = args.op, args.values
     config = FareyConfig(args.C)
-
-    def need(n):
-        if len(vals) != n:
-            raise ValidationError("bad-params", f"{op} takes {n} integer(s)")
-
-    out = _Output(args.out)
+    if op == "ncf-eval":  # any number of partial quotients
+        out.emit(_fr(numth.ncf_eval(vals)))
+        return EXIT_OK
+    if len(vals) != 2:
+        raise ValidationError("bad-params", f"{op} takes 2 integer(s)")
+    q, p = vals
     if op == "mod-inverse":
-        need(2)
-        out.emit(str(numth.mod_inverse(vals[0], vals[1])))
+        out.emit(str(numth.mod_inverse(q, p)))
     elif op == "ncf":
-        need(2)
-        exp = numth.ncf_expand(vals[0], vals[1])
-        out.emit(f"e = {list(exp.e)}")
-        out.emit(f"b = {list(exp.b)}")
-        out.emit(f"length = {exp.length}")
-    elif op == "ncf-eval":
-        value = numth.ncf_eval(vals)
-        out.emit(_fr(value))
+        exp = numth.ncf_expand(q, p)
+        out.emit(f"e = {list(exp.e)}", f"b = {list(exp.b)}", f"length = {exp.length}")
     elif op == "length":
-        need(2)
-        out.emit(str(numth.ncf_length(vals[0], vals[1])))
+        out.emit(str(numth.ncf_length(q, p)))
     elif op == "canonical":
-        need(2)
-        out.emit(_fr(numth.canonical_part(vals[0], vals[1])))
+        out.emit(_fr(numth.canonical_part(q, p)))
     elif op == "dedekind":
-        need(2)
-        q, p = vals
         fast = numth.dedekind_fast(q, p)
         chain = numth.dedekind_from_ncf(q, p)
-        out.emit(f"fast  = {_fr(fast)}")
-        out.emit(f"chain = {_fr(chain)}")
+        out.emit(f"fast  = {_fr(fast)}", f"chain = {_fr(chain)}")
         if p <= 100_000:
             out.emit(f"brute = {_fr(numth.dedekind_brute(q, p))}")
     elif op == "rcf-total":
-        need(2)
-        out.emit(str(numth.rcf_total(vals[0], vals[1])))
+        out.emit(str(numth.rcf_total(q, p)))
     elif op == "farey":
-        need(2)
-        out.emit(str(numth.is_farey_neighbour(vals[0], vals[1], config)))
-    out.finish()
+        out.emit(str(numth.is_farey_neighbour(q, p, config)))
     return EXIT_OK
 
 
@@ -389,23 +365,22 @@ def _cmd_numth(args) -> int:
 # badset subcommand
 
 
-def _cmd_badset(args) -> int:
+def _cmd_badset(args, out: _Output) -> int:
     if not is_prime(args.p):
         raise ValidationError("p-prime", f"--p {args.p} is not prime")
     config = FareyConfig(args.C)
     members = bad_set(args.p, config)
-    out = _Output(args.out)
-    for line in _manifest_lines(args, "badset", {"count": len(members)}):
-        out.emit(line)
     holds = badset_bound_holds(len(members), args.p, config)
     density = Fraction(len(members), args.p)
-    out.emit(f"p = {args.p}")
-    out.emit(f"|F| = {len(members)}")
-    out.emit(f"bound C*sqrt(p)*(log p + 2 log 2) holds: {holds}")
-    out.emit(f"density = {_fr(density)} ({covers.truncate_decimal(density, 4)}...)")
+    out.emit(
+        *_manifest_lines(args, "badset", {"count": len(members)}),
+        f"p = {args.p}",
+        f"|F| = {len(members)}",
+        f"bound C*sqrt(p)*(log p + 2 log 2) holds: {holds}",
+        f"density = {_fr(density)} ({covers.truncate_decimal(density, 4)}...)",
+    )
     if args.list:
         out.emit("members: " + " ".join(str(q) for q in sorted(members)))
-    out.finish()
     return EXIT_OK
 
 
@@ -422,16 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     pa = sub.add_parser("arrangement", help="generate, inspect, or validate arrangement files")
-    pa.set_defaults(run=_cmd_arrangement)
     pa_sub = pa.add_subparsers(dest="action", required=True)
     pg = pa_sub.add_parser("generate", help="write a built-in arrangement")
+    pg.set_defaults(run=_cmd_generate)
     pg.add_argument("kind", choices=sorted(arr.GENERATORS))
     pg.add_argument("params", nargs="*", type=int)
-    pg.add_argument("--out", default=None)
-    for action in ("info", "validate"):
+    for action, run in (("info", _cmd_info), ("validate", _cmd_validate)):
         px = pa_sub.add_parser(action)
+        px.set_defaults(run=run)
         px.add_argument("--arrangement", required=True)
-        px.add_argument("--out", default=None)
 
     pi = sub.add_parser("invariants", help="exact invariants of one cover")
     pi.set_defaults(run=_cmd_invariants)
@@ -442,12 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--C", type=_parse_rational, default=Fraction(1))
     pi.add_argument("--max-tries", type=int, default=100)
     pi.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    pi.add_argument("--out", default=None)
 
     pt = sub.add_parser("tables", help="re-run a built-in reference table")
     pt.set_defaults(run=_cmd_tables)
     pt.add_argument("which", choices=tables.TABLE_NAMES)
-    pt.add_argument("--out", default=None)
 
     ps = sub.add_parser("scan", help="good-sample ratio scan across primes")
     ps.set_defaults(run=_cmd_scan)
@@ -458,14 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--C", type=_parse_rational, default=Fraction(1))
     ps.add_argument("--max-tries", type=int, default=200)
-    ps.add_argument("--out", default=None)
 
     pb = sub.add_parser("badset", help="Farey bad-set statistics")
     pb.set_defaults(run=_cmd_badset)
     pb.add_argument("--p", type=int, required=True)
     pb.add_argument("--C", type=_parse_rational, default=Fraction(1))
     pb.add_argument("--list", action="store_true")
-    pb.add_argument("--out", default=None)
 
     pn = sub.add_parser("numth", help="debug access to the exact kernels")
     pn.set_defaults(run=_cmd_numth)
@@ -478,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pn.add_argument("values", nargs="+", type=int)
     pn.add_argument("--C", type=_parse_rational, default=Fraction(1))
-    pn.add_argument("--out", default=None)
+
+    for leaf in (*pa_sub.choices.values(), pi, pt, ps, pb, pn):
+        leaf.add_argument("--out", default=None)  # last, as each usage line shows it
     return parser
 
 
@@ -487,6 +459,11 @@ _parser: argparse.ArgumentParser | None = None  # main's, built on its first cal
 
 def main(argv=None) -> int:
     """Run one command line; return its exit code.
+
+    The parser picks the handler and the handler fills an `_Output`;
+    main then writes it (the result to --out or stdout, the notes after
+    it) and reports any error on stderr.  Nothing is written before the
+    handler returns, and an unwritable --out exits 2.
 
     The parser is built on the first call, not at import, and reused by
     every later call in the process; build_parser() still returns a fresh
@@ -498,8 +475,11 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    out = _Output(args.out)
     try:
-        return args.run(args)
+        code = args.run(args, out)
+        out.finish()
+        return code
     except BudgetError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
         return EXIT_BUDGET

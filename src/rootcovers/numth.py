@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import BudgetError, ConsistencyError
 
@@ -345,9 +345,9 @@ def rcf_total(n: int, m: int) -> int:
     """
     if not 0 < n < m:
         raise ValueError(f"need 0 < n < m, got n={n}, m={m}")
-    if gcd(n, m) != 1:
+    _, rems, even, odd, _ = _euclid(n, m)
+    if rems[-2] != 1:  # the pass ends at gcd(n, m)
         raise ValueError(f"{n}/{m} is not in lowest terms")
-    _, _, even, odd, _ = _euclid(n, m)
     return even + odd
 
 
@@ -483,16 +483,23 @@ def lt_sqrt_bound(value: int | Fraction, mult: int, offset: int, p: int) -> bool
 
 
 def _atanh_enclosure(u: Fraction, terms: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of atanh(u) for 0 <= u < 1 by the odd power series."""
-    acc = Fraction(0)
-    power = u
-    usq = u * u
-    for j in range(terms):
-        acc += power / (2 * j + 1)
-        power *= usq
-    # remaining tail: sum_{j>=terms} u^(2j+1)/(2j+1) <= power/( (2*terms+1)(1-u^2) )
-    tail = power / ((2 * terms + 1) * (1 - usq))
-    return acc, acc + tail
+    """Enclosure of atanh(u) for 0 <= u < 1 by the odd power series.
+
+    With u = a/b the first `terms` terms u^(2j+1)/(2j+1) share the
+    denominator L b^(2 terms - 1), L = lcm(1, 3, ..., 2 terms - 1), so
+    their sum is one integer over it, reduced once; so is the sum plus
+    the tail bound u^(2 terms + 1) / ((2 terms + 1)(1 - u^2)).
+    """
+    a, b = u.numerator, u.denominator
+    asq, bsq = a * a, b * b
+    odd_lcm = lcm(*range(1, 2 * terms, 2))
+    num, power = 0, a  # power = a^(2j+1)
+    for j in range(terms):  # Horner: every earlier term gains a factor b^2
+        num = num * bsq + odd_lcm // (2 * j + 1) * power
+        power *= asq
+    den = odd_lcm * b ** (2 * terms - 1)
+    tail_den = (2 * terms + 1) * (bsq - asq)
+    return Fraction(num, den), Fraction(num * tail_den + odd_lcm * power, den * tail_den)
 
 
 @lru_cache(maxsize=4)  # badset_bound_holds asks for 12, 24, 48 and 96 terms

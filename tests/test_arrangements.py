@@ -494,3 +494,8 @@ def test_largest_generator_outputs_fit_the_validate_and_load_budgets(tmp_path):
     ar.save(a, path)
     assert ar.load(path) == a
     assert ar.validate(a).t == {3: 316 * 316, 316: 3}
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_underline_ceva_keeps_the_triple_points_of_ceva(m):
+    assert ar.gen_underline_ceva(m).points == ar.gen_ceva(m).points[: m * m]

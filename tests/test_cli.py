@@ -1,8 +1,11 @@
 """Command-line front end: flows, determinism, exit codes."""
 
+import argparse
+import ast
 import dataclasses
 import json
 import re
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -1083,3 +1086,68 @@ def test_scan_skips_a_prime_whose_sample_has_c2_zero(tmp_path, capsys):
 def test_a_residue_sharing_a_factor_with_p_gets_one_message(op, capsys):
     assert main(["numth", op, "2", "4"]) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: need gcd(q, p) = 1, got gcd(2, 4) = 2\n"
+
+
+def _enclosing_functions(tree):
+    """(qualified name, node) of every function in a module, classes included."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    yield name, child
+                yield from walk(child, f"{name}.")
+    yield from walk(tree, "")
+
+
+def test_only_finish_and_main_write_to_the_streams():
+    # handlers fill the _Output that main hands them; main writes it and the errors
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    writers = set()
+    for name, func in _enclosing_functions(tree):
+        for node in ast.walk(func):
+            stream = (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                      and isinstance(node.value, ast.Name) and node.value.id == "sys")
+            printed = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and node.func.id == "print")
+            if stream or printed:
+                writers.add(name)
+    assert writers == {"_Output.finish", "main"}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def test_every_leaf_parser_picks_its_handler_and_ends_with_out():
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert sorted(leaves) == [
+        "arrangement generate", "arrangement info", "arrangement validate",
+        "badset", "invariants", "numth", "scan", "tables",
+    ]
+    for name, leaf in leaves.items():
+        assert callable(leaf._defaults.get("run")), name
+        assert leaf._actions[-1].option_strings == ["--out"], name
+
+
+@pytest.mark.parametrize("command", ["badset", "scan"])
+def test_out_naming_a_directory_exits_2_before_writing(command, dual_hesse_file, tmp_path, capsys):
+    argv = {
+        "badset": ["badset", "--p", "1009", "--list"],
+        "scan": ["scan", "--arrangement", dual_hesse_file, "--primes", "97-102,10103",
+                 "--samples", "1", "--seed", "3", "--max-tries", "4"],
+    }[command]
+    assert main([*argv, "--out", str(tmp_path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_rcf_total_refuses_a_fraction_not_in_lowest_terms(capsys):
+    assert main(["numth", "rcf-total", "4", "6"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: 4/6 is not in lowest terms\n"

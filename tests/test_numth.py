@@ -688,3 +688,11 @@ def test_bad_set_reads_its_radius_from_farey_bounds(C, monkeypatch):
     assert calls == list(want)
     monkeypatch.setattr(nt, "_farey_bounds", lambda p, config: (bounds(p, config)[0], 0))
     assert nt.bad_set(101, config) == {0}
+
+
+def test_rcf_total_checks_the_range_then_lowest_terms():
+    with pytest.raises(ValueError, match=r"^need 0 < n < m, got n=6, m=4$"):
+        nt.rcf_total(6, 4)
+    for n, m in ((4, 6), (6, 9), (10, 25), (2**40, 2**41 + 2)):
+        with pytest.raises(ValueError, match=rf"^{n}/{m} is not in lowest terms$"):
+            nt.rcf_total(n, m)
