@@ -98,11 +98,11 @@ class CoverSpec:
         if self.nu.p != self.p:
             raise ValueError(f"assignment p={self.nu.p} differs from cover p={self.p}")
         divisors = self.resolved.divisors
-        for div in divisors:
-            if div.id not in self.nu.nu:
-                raise ValueError(f"divisor {div.id} has no multiplicity")
+        try:
+            nu = [self.nu.nu[div.id] for div in divisors]
+        except KeyError as exc:
+            raise ValueError(f"divisor {exc.args[0]} has no multiplicity") from None
         # B = sum nu_i D_i has a p-th root only if B.D_j = 0 mod p for every j
-        nu = [self.nu.nu[div.id] for div in divisors]
         dots = [n * div.self_int for n, div in zip(nu, divisors)]
         for (i, j), count in self.resolved.nodes.items():
             dots[i] += count * nu[j]

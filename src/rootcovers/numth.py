@@ -3,11 +3,12 @@
 Negative-regular continued fractions, Dedekind sums (three independent
 algorithms), regular continued-fraction totals, and the Farey bad set.
 One O(log p) forward Euclid pass over p/q (`_euclid`) stores its
-remainders and nothing else, and every per-residue route reads it: NCF
-length and sum by the Hirzebruch-Jung conversion of the quotients
-(`_hj_stats`, from their count and their sums at even and at odd
-positions), 12p s(q, p) by reciprocity back up the remainders
-(`_reciprocity`), regular totals as the quotient sum.  The same pass
+remainders and nothing else, and every per-residue route reads it.  The
+pass returns the NCF length l and sum e_i in closed form: with c Euclid
+quotients a_k and fix = 1 - c mod 2, the Hirzebruch-Jung conversion gives
+l = sum_odd a + 1 - fix and sum e = sum_even a + 2 sum_odd a - fix.  The
+regular total is then sum a = sum e - l + 1, and 12p s(q, p) comes by
+reciprocity back up the remainders (`_reciprocity`).  The same pass
 carries the convergent denominators, so it also decides the Farey verdict
 where it is known and yields the inverse q' at its last step.  A cover's
 node reads all of it off one pass (`_node_walk`), made once per distinct
@@ -217,10 +218,14 @@ def _euclid(
 ) -> tuple[bool, list[int], int, int, int]:
     """One forward Euclid pass over p/q = a_0 + 1/(a_1 + ...), a_k =
     r_(k-1) // r_k, that stores only the remainders: (Farey hit, [p, q, r_1,
-    ..., gcd(q, p), 0], sum of the a_k at even k, at odd k, q').
+    ..., gcd(q, p), 0], NCF length l, sum e_i, q').
 
-    The quotients are counted by the remainders (len - 2) and summed by
-    parity as they go.  Alongside runs the convergent denominator d_(k+1) =
+    The quotients are summed by parity as they go and counted by the
+    remainders (c = len - 2).  Hirzebruch-Jung turns p/q = [a_0; ..., a_n],
+    n even (else a_n -> a_n - 1, 1), into [a_0+1, 2^(a_1-1), a_2+2, ...,
+    2^(a_(n-1)-1), a_n+1]; with fix = 1 - c mod 2 that is
+    l = sum_odd a + 1 - fix and sum e = sum_even a + 2 sum_odd a - fix, so
+    sum a = sum e - l + 1.  Alongside runs the convergent denominator d_(k+1) =
     a_k d_k + d_(k-1) of q/p from 0/1, each d_k with its remainder r_k; the
     verdict is is_farey_neighbour's, decided at the first k with d_k > droot
     or r_k d_k <= bound (droot and bound from _farey_bounds; the default
@@ -244,36 +249,23 @@ def _euclid(
         rems.append(r)
     if hit is None:  # undecided until r = 0, which hits iff d <= droot
         hit = d <= droot
-    if len(rems) % 2:  # an odd count of quotients
-        return hit, rems, that, this, d_prev
-    return hit, rems, this, that, p - d_prev
-
-
-def _hj_stats(count: int, even: int, odd: int) -> tuple[int, int]:
-    """(length, sum e_i) from the count of the Euclid quotients a of p/q and
-    their sums at even and at odd positions (Hirzebruch-Jung): with n even
-    (else a_n -> a_n - 1, 1, read here without a list),
-    p/q = [a_0; ..., a_n] is [a_0+1, 2^(a_1-1), a_2+2, ..., 2^(a_(n-1)-1), a_n+1]
-    in negative-regular form."""
-    fix = 1 - count % 2
-    n = count - 1 + fix
-    twos = odd - fix - n // 2
-    return n // 2 + 1 + twos, even + fix + n + 2 * twos
+    if len(rems) % 2:  # an odd count: this sums the odd k, that the even
+        return hit, rems, this + 1, that + 2 * this, d_prev
+    return hit, rems, that, this + 2 * that - 1, p - d_prev
 
 
 def _ncf_stats(q: int, p: int) -> tuple[int, int]:
     """(length, sum e_i) of p/q, from one Euclid pass."""
-    _, rems, even, odd, _ = _euclid(q, p)
-    return _hj_stats(len(rems) - 2, even, odd)
+    return _euclid(q, p)[2:4]
 
 
 def _ncf_inverse(q: int, p: int) -> tuple[int, int, int]:
     """(length, sum e_i, q') of p/q from one Euclid pass, which also ends at
     gcd(q, p); q is refused as mod_inverse refuses it, range first."""
     _check_residue(q, p)
-    _, rems, even, odd, inverse = _euclid(q, p)
+    _, rems, length, e_sum, inverse = _euclid(q, p)
     _check_coprime(q, p, rems[-2])
-    return *_hj_stats(len(rems) - 2, even, odd), inverse
+    return length, e_sum, inverse
 
 
 def canonical_part(q: int, p: int) -> Fraction:
@@ -345,10 +337,10 @@ def rcf_total(n: int, m: int) -> int:
     """
     if not 0 < n < m:
         raise ValueError(f"need 0 < n < m, got n={n}, m={m}")
-    _, rems, even, odd, _ = _euclid(n, m)
+    _, rems, length, e_sum, _ = _euclid(n, m)
     if rems[-2] != 1:  # the pass ends at gcd(n, m)
         raise ValueError(f"{n}/{m} is not in lowest terms")
-    return even + odd
+    return e_sum - length + 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +408,8 @@ def _node_walk(
     """(Farey hit, 12p s(q, p), NCF length, sum e_i, q') of a residue
     0 < q < p coprime to p, all from one Euclid pass (_euclid); droot and
     bound are _farey_bounds(p, config)."""
-    hit, rems, even, odd, inverse = _euclid(q, p, droot, bound)
-    return hit, _reciprocity(rems), *_hj_stats(len(rems) - 2, even, odd), inverse
+    hit, rems, length, e_sum, inverse = _euclid(q, p, droot, bound)
+    return hit, _reciprocity(rems), length, e_sum, inverse
 
 
 def bad_set(p: int, config: FareyConfig = DEFAULT_FAREY) -> set[int]:

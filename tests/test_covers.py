@@ -730,6 +730,13 @@ def test_convergence_scan_small():
     assert again.summaries == result.summaries
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_convergence_scan_refuses_fewer_than_one_sample_per_prime(samples):
+    with pytest.raises(ValueError) as exc:
+        cv.convergence_scan(ar.gen_ceva(3), [61169], samples_per_prime=samples, seed=5)
+    assert str(exc.value) == f"need at least 1 sample per prime, got {samples}"
+
+
 def test_convergence_scan_skips_exhausted_primes():
     dh = ar.gen_ceva(3)
     result = cv.convergence_scan(dh, [17, 61169], samples_per_prime=2, seed=5, max_tries=5)

@@ -18,6 +18,7 @@ from oracles import (
     dedekind_fraction,
     euclid_lists,
     farey_convergent_walk,
+    hj_stats_of_quotients,
     ncf_convergents,
     node_walk_reference,
 )
@@ -278,6 +279,16 @@ def test_rcf_total_examples():
         nt.rcf_total(2, 6)
     with pytest.raises(ValueError):
         nt.rcf_total(5, 3)
+
+
+def test_euclid_closed_forms_match_the_quotient_list():
+    # every 0 < q < m <= 300, composite m and gcd(q, m) > 1 included
+    for m in range(2, 301):
+        for q in range(1, m):
+            quots = euclid_lists(q, m)[1]
+            assert nt._euclid(q, m)[2:4] == hj_stats_of_quotients(quots), (q, m)
+            if math.gcd(q, m) == 1:
+                assert nt.rcf_total(q, m) == sum(quots), (q, m)
 
 
 @pytest.mark.parametrize("p", [61, 139])
