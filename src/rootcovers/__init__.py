@@ -1,6 +1,7 @@
 """rootcovers: exact Chern invariants of cyclic root covers of curve arrangements.
 
-The package is organized along the pipeline:
+The package is organized along the pipeline, and is used by module
+(`from rootcovers import covers`); the package itself re-exports nothing:
 
     numth         exact kernels (continued fractions, Dedekind sums, Farey sets)
     arrangements  combinatorial arrangements, generators, log resolution
@@ -12,48 +13,3 @@ The package is organized along the pipeline:
 """
 
 __version__ = "0.1.0"
-
-from .arrangements import (
-    Arrangement,
-    CurveDecl,
-    PointDecl,
-    SurfaceClass,
-    gen_ceva,
-    gen_general_lines,
-    gen_p1xp1,
-    gen_pg2,
-    gen_underline_ceva,
-    log_chern_direct,
-    log_chern_resolved,
-    resolve,
-    validate,
-)
-from .covers import ChernReport, CoverSpec, convergence_scan, report
-from .numth import (
-    FareyConfig,
-    bad_set,
-    canonical_part,
-    dedekind_brute,
-    dedekind_fast,
-    dedekind_from_ncf,
-    is_farey_neighbour,
-    mod_inverse,
-    ncf_eval,
-    ncf_expand,
-    ncf_length,
-    rcf_total,
-)
-from .partitions import (
-    DiophSystem,
-    MultiplicityAssignment,
-    PartitionSolution,
-    assign,
-    count_solutions,
-    is_good,
-    node_residues,
-    sample_good,
-    sample_uniform,
-    system_for,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -144,12 +144,6 @@ class Arrangement:
     def d(self) -> int:
         return len(self.curves)
 
-    def block_members(self, b: int) -> list[CurveDecl]:
-        return list(self.data.blocks[b - 1]) if 1 <= b <= self.blocks else []
-
-    def curve_index(self) -> dict[str, int]:
-        return {c.id: i for i, c in enumerate(self.curves)}
-
 
 @dataclass(frozen=True)
 class CombinatorialData:
@@ -280,7 +274,6 @@ class ResolvedCurve:
 
 @dataclass
 class ResolvedArrangement:
-    arrangement: Arrangement
     surface: SurfaceClass  # after blowing up the k points of degree >= 3
     divisors: tuple[ResolvedCurve, ...]
     nodes: dict[tuple[int, int], int]  # divisor pair (i < j) -> node count, kept sorted
@@ -294,13 +287,6 @@ class ResolvedArrangement:
         self.sum_self_int = sum(d.self_int for d in self.divisors)
         self.sum_genus_defect = sum(d.genus - 1 for d in self.divisors)
 
-    @property
-    def r(self) -> int:
-        return len(self.divisors)
-
-    def divisor_index(self) -> dict[str, int]:
-        return {d.id: i for i, d in enumerate(self.divisors)}
-
 
 def resolve(a: Arrangement) -> ResolvedArrangement:
     """Blow up every point of degree >= 3 and collect the node data.
@@ -309,7 +295,7 @@ def resolve(a: Arrangement) -> ResolvedArrangement:
     proper transforms; each blown-up n-point contributes n nodes, one
     between its exceptional divisor and each incident proper transform.
     """
-    index = a.curve_index()
+    index = {c.id: i for i, c in enumerate(a.curves)}
     heavy = [pt for pt in a.points if len(pt.curves) >= 3]
     incident_heavy = Counter()
     for pt in heavy:
@@ -346,7 +332,6 @@ def resolve(a: Arrangement) -> ResolvedArrangement:
             nodes[(index[cid], e_index)] += 1
 
     return ResolvedArrangement(
-        arrangement=a,
         surface=a.surface.blown_up(len(heavy)),
         divisors=tuple(divisors),
         nodes=nodes,
@@ -538,10 +523,6 @@ class ArrangementDiagnostics:
     incidence_holds: bool
     pair_floor_holds: bool  # t_2 + (1/4) t_3 >= 3
     ratio_bound_holds: bool  # 3 c1bar^2 <= 8 c2bar
-
-    @property
-    def all_hold(self) -> bool:
-        return self.incidence_holds and self.pair_floor_holds and self.ratio_bound_holds
 
 
 def diagnostics(a: Arrangement) -> ArrangementDiagnostics:

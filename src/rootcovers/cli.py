@@ -180,8 +180,12 @@ def _cmd_invariants(args, out: _Output) -> int:
     resolved = arr.resolve(a)
     sysd = partitions.system_for(a, args.p)
     if args.partition:
+        budget = partitions.MAX_PARTITION_CHARS
         with open(args.partition, encoding="utf-8") as fh:
-            sol = partitions.solution_from_text(sysd, fh.read())
+            text = fh.read(budget + 1)
+        if len(text) > budget:
+            raise BudgetError(f"{args.partition} is over the budget of {budget} characters")
+        sol = partitions.solution_from_text(sysd, text)
         ma, tries, report = partitions.assign(resolved, sol), None, covers.report
     else:
         good = partitions.sample_good(

@@ -213,7 +213,6 @@ class ChernReport:
     error_terms: ErrorTerms
     offending: tuple[tuple[tuple[str, str], int], ...]  # (divisor pair, q) in the bad set
     bounds_ok: bool
-    n_nodes: int
 
     @property
     def ratio_c(self) -> Fraction | None:
@@ -257,8 +256,7 @@ def report(spec: CoverSpec) -> ChernReport:
             f"12 chi = {12 * chi_v} but c1^2 + c2 = {c1_v + c2_v}; "
             "independent routes disagree"
         )
-    n_nodes = spec.resolved.t2_total
-    bounds = _bounds_ok(terms, n_nodes, spec.p)
+    bounds = _bounds_ok(terms, spec.resolved.t2_total, spec.p)
     if not offending and not bounds and spec.p >= 17 and spec.farey.C >= 1:
         raise ConsistencyError(
             "a good assignment violated the square-root error bounds"
@@ -270,7 +268,6 @@ def report(spec: CoverSpec) -> ChernReport:
         error_terms=terms,
         offending=offending,
         bounds_ok=bounds,
-        n_nodes=n_nodes,
     )
 
 

@@ -93,6 +93,13 @@ __all__ = [
 MAX_SUFFIX_CELLS = 2_500_000
 MAX_SAMPLING_NODES = 1_000_000
 
+# The longest partition file `invariants --partition` reads.  A JSON curve
+# object takes at least ~50 characters, so a file within
+# arrangements.MAX_ARRANGEMENT_CHARS declares at most ~80,000 curves; each
+# part has at most 25 digits, because p < psi_13; so every partition of an
+# accepted arrangement fits in about 2.1 M characters.
+MAX_PARTITION_CHARS = 4_000_000
+
 
 @dataclass(frozen=True)
 class DiophBlock:
@@ -329,13 +336,14 @@ def _sample_block(u: tuple[int, ...], target: int, rng: random.Random) -> list[i
     k = len(u)
     levels = _suffix_counts(u, target) if _ones_tail(u) else ()
     h = len(levels)
-    if h and levels[0].count(target) == 0:
+    first = levels[0].count(target) if h else 1  # the first part's total
+    if not first:
         raise EmptySolutionSetError(f"no positive solution of {u} . mu = {target}")
     parts = []
     rem = target
     for j in range(min(h, k - 1)):
         count, w = levels[j].count, u[j]
-        total = count(rem)
+        total = count(rem) if j else first
         r = rng.randrange(total)
         lo, hi = 1, rem // w
         while lo < hi:

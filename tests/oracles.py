@@ -214,7 +214,7 @@ def fraction_report(spec: CoverSpec) -> dict:
         "ratio_c": c1_sq / c2 if c2 else None, "ratio_chi": c1_sq / chi if chi else None,
         "scf": scf, "ccf": ccf, "lcf": lcf,
         "good": not offending, "offending": offending,
-        "bounds_ok": bounds_ok, "n_nodes": n,
+        "bounds_ok": bounds_ok,
     }
 
 

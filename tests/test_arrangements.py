@@ -148,11 +148,10 @@ def _lines_in_blocks(order):
 def test_interleaved_blocks_keep_arrangement_order():
     curves = _lines_in_blocks([2, 1, 2, 1, 1, 2])
     a = ar.Arrangement(ar.P2, 2, curves, ())
-    assert [c.id for c in a.block_members(1)] == ["C1", "C3", "C4"]
-    assert [c.id for c in a.block_members(2)] == ["C0", "C2", "C5"]
-    assert a.data.blocks == (tuple(a.block_members(1)), tuple(a.block_members(2)))
-    assert a.block_members(0) == [] and a.block_members(a.blocks + 1) == []
-    assert a.block_members(-1) == []
+    assert [[c.id for c in block] for block in a.data.blocks] == [
+        ["C1", "C3", "C4"],
+        ["C0", "C2", "C5"],
+    ]
 
 
 def test_missing_middle_block_is_named():
@@ -198,7 +197,7 @@ def test_reserved_exceptional_ids():
 
 def test_resolve_dual_hesse():
     ra = ar.resolve(ar.gen_ceva(3))
-    assert ra.r == 21
+    assert len(ra.divisors) == 21
     assert ra.sum_self_int == -39
     assert ra.t2_total == 36
     assert (ra.surface.c1_sq, ra.surface.c2) == (-3, 15)
@@ -208,7 +207,6 @@ def test_resolve_dual_hesse():
     assert all(d.self_int == -3 for d in propers)
     assert all(d.self_int == -1 and d.genus == 0 for d in exceptionals)
     # every node involves an exceptional divisor here (t_2 = 0 upstairs)
-    idx = ra.divisor_index()
     for (i, j), count in ra.nodes.items():
         assert count == 1
         assert ra.divisors[j].kind == "exceptional"
@@ -217,17 +215,17 @@ def test_resolve_dual_hesse():
 
 def test_resolve_triangle_is_trivial():
     ra = ar.resolve(ar.gen_general_lines(3))
-    assert ra.r == 3
+    assert len(ra.divisors) == 3
     assert ra.t2_total == 3
     assert ra.surface == ar.P2
     assert all(d.self_int == 1 for d in ra.divisors)
 
 
 def test_resolve_ceva5():
-    ra = ar.resolve(ar.gen_ceva(5))
-    assert ra.r == 15 + 28
+    a = ar.gen_ceva(5)
+    ra = ar.resolve(a)
+    assert len(ra.divisors) == 15 + 28
     # blow-up bookkeeping: c2 goes up by k, c1^2 down by k
-    a = ra.arrangement
     k = 28
     assert ra.surface.c2 - a.surface.c2 == k == a.surface.c1_sq - ra.surface.c1_sq
 
@@ -269,8 +267,8 @@ def test_underline_ceva_structure():
     a = ar.gen_underline_ceva(5)
     assert (a.surface.c1_sq, a.surface.c2) == (6, 6)
     assert a.blocks == 3
-    for b in (1, 2, 3):
-        members = a.block_members(b)
+    assert len(a.data.blocks) == 3
+    for members in a.data.blocks:
         assert len(members) == 5
         assert all(c.self_int == 0 and c.genus == 0 and c.u == 1 for c in members)
     assert ar.validate(a).t == {3: 25}
@@ -313,11 +311,12 @@ def test_line_pair_count_identity():
 def test_diagnostics_examples():
     dg = ar.diagnostics(ar.gen_ceva(3))
     assert dg.incidence_lhs == 9 and dg.incidence_rhs == 9
-    assert dg.all_hold
+    assert dg.incidence_holds and dg.pair_floor_holds and dg.ratio_bound_holds
     fano = ar.diagnostics(ar.gen_pg2(2))
     assert not fano.incidence_holds
     assert fano.incidence_lhs == Fraction(21, 4) and fano.incidence_rhs == 7
-    assert ar.diagnostics(ar.gen_general_lines(4)).all_hold
+    dg = ar.diagnostics(ar.gen_general_lines(4))
+    assert dg.incidence_holds and dg.pair_floor_holds and dg.ratio_bound_holds
     with pytest.raises(ValueError):
         ar.diagnostics(ar.gen_p1xp1(3, 3, 3))
 

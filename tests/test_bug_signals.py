@@ -3,13 +3,18 @@
 The CLI maps ConsistencyError to exit 6, "a bug, not bad input"; an
 `assert` (removed under -O) or a raised AssertionError, ArithmeticError,
 RuntimeError or Exception escapes it as a traceback.  Each module of
-rootcovers is parsed, not imported, and searched for either.
+rootcovers is parsed, not imported, and searched for either.  The two
+bug signals that no input reaches are raised directly at the end.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from rootcovers import covers, numth
+from rootcovers.errors import ConsistencyError, NonIntegral
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rootcovers"
 BARE = {"AssertionError", "ArithmeticError", "RuntimeError", "Exception"}
@@ -54,3 +59,16 @@ def test_the_check_allows_package_errors_and_reraise():
         "raise ConsistencyError('bug')\nraise ValueError('bad input')"
     )
     assert not list(_bare_bug_signals(ast.parse(source)))
+
+
+def test_a_reciprocity_step_with_a_remainder_is_a_consistency_error():
+    # [11, 3, 1, 0] is no Euclid chain (11 mod 3 is 2), so the step at
+    # (3, 11) does not divide exactly
+    with pytest.raises(ConsistencyError) as err:
+        numth._reciprocity([11, 3, 1, 0])
+    assert str(err.value) == "reciprocity step at (3, 11) left remainder 1"
+
+
+def test_a_fractional_invariant_is_non_integral():
+    with pytest.raises(NonIntegral, match="chi evaluated to the non-integer 1/2"):
+        covers._as_int(Fraction(1, 2), "chi")

@@ -123,6 +123,32 @@ def test_invariants_with_partition_file(dual_hesse_file, tmp_path, capsys):
     assert "1.966" in out
 
 
+def test_invariants_refuses_a_partition_file_over_the_size_budget(
+    dual_hesse_file, tmp_path, capsys
+):
+    row = "p 61169\nblock 1 2 3 4 5 6 7 8 61133\n"
+    args = ["invariants", "--arrangement", dual_hesse_file, "--p", "61169", "--partition"]
+    plain = tmp_path / "row.txt"
+    plain.write_text(row)
+    assert main([*args, str(plain)]) == EXIT_OK
+    want = capsys.readouterr().out
+    # pad with comment lines of 999 characters plus a newline up to the budget
+    pad = partitions.MAX_PARTITION_CHARS - len(row)
+    padding = ("#" * 999 + "\n") * (pad // 1000) + "#" * (pad % 1000)
+    padded = tmp_path / "padded.txt"
+    padded.write_text(row + padding)
+    assert main([*args, str(padded)]) == EXIT_OK
+    assert capsys.readouterr().out == want.replace(str(plain), str(padded))
+    padded.write_text(row + padding + "#")
+    assert main([*args, str(padded)]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error (budget): {padded} is over the budget of "
+        f"{partitions.MAX_PARTITION_CHARS} characters\n"
+    )
+
+
 def test_invariants_json_format(dual_hesse_file, tmp_path):
     part = tmp_path / "row.txt"
     part.write_text("p 61169\nblock 6790 6791 6792 6793 6794 6795 6796 6797 6821\n")

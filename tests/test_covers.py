@@ -111,12 +111,12 @@ def test_orientation_invariance():
     ma = pt.assign(ra, sol)
     rep = cv.report(cv.CoverSpec(61169, ra, ma))
 
+    r = len(ra.divisors)
     flipped = ar.ResolvedArrangement(
-        arrangement=ra.arrangement,
         surface=ra.surface,
         divisors=tuple(reversed(ra.divisors)),
         nodes={
-            (ra.r - 1 - j, ra.r - 1 - i): count
+            (r - 1 - j, r - 1 - i): count
             for (i, j), count in ra.nodes.items()
         },
     )
@@ -387,7 +387,7 @@ def test_report_matches_fraction_fold_oracle(name, p, C, data):
         "ratio_c": rep.ratio_c, "ratio_chi": rep.ratio_chi,
         "scf": rep.error_terms.scf, "ccf": rep.error_terms.ccf, "lcf": rep.error_terms.lcf,
         "good": rep.good, "offending": rep.offending,
-        "bounds_ok": rep.bounds_ok, "n_nodes": rep.n_nodes,
+        "bounds_ok": rep.bounds_ok,
     }
     assert got == want
 
@@ -821,7 +821,7 @@ def _no_node_cover(surface, genus, p, parts):
 def test_a_cover_with_no_nodes_has_nothing_to_bound(p):
     spec = _no_node_cover(ar.P1xP1, 0, p, [1, 1, p - 2])
     rep = cv.report(spec)
-    assert rep.n_nodes == 0 and rep.error_terms.lcf == 0 and rep.good
+    assert spec.resolved.t2_total == 0 and rep.error_terms.lcf == 0 and rep.good
     assert rep.bounds_ok
     assert fraction_report(spec)["bounds_ok"]
 

@@ -533,11 +533,11 @@ def test_assign_triangle_identity():
 
 def _flipped(ra):
     """ra with its divisor order reversed, nodes handed over out of order."""
+    r = len(ra.divisors)
     return ar.ResolvedArrangement(
-        arrangement=ra.arrangement,
         surface=ra.surface,
         divisors=tuple(reversed(ra.divisors)),
-        nodes={(ra.r - 1 - j, ra.r - 1 - i): c for (i, j), c in ra.nodes.items()},
+        nodes={(r - 1 - j, r - 1 - i): c for (i, j), c in ra.nodes.items()},
     )
 
 
@@ -561,7 +561,7 @@ def test_resolution_fixes_node_order(make):
     p = 101
     nu = {d.id: 1 + i % (p - 1) for i, d in enumerate(ra.divisors)}
     ma = pt.MultiplicityAssignment(p, nu)
-    idx = ra.divisor_index()
+    idx = {d.id: i for i, d in enumerate(ra.divisors)}
     pairs = [(idx[a], idx[b]) for a, b in (n.pair for n in pt.node_residues(ra, ma))]
     assert pairs == list(ra.nodes)
 
