@@ -60,6 +60,7 @@ from .numth import (
 )
 from .partitions import (
     MultiplicityAssignment,
+    _assigned_nu,
     _node_table,
     sample_good,
     solution_parts,
@@ -99,7 +100,7 @@ class CoverSpec:
             raise ValueError(f"assignment p={self.nu.p} differs from cover p={self.p}")
         divisors = self.resolved.divisors
         try:
-            nu = [self.nu.nu[div.id] for div in divisors]
+            nu = _assigned_nu(self.resolved, self.nu)
         except KeyError as exc:
             raise ValueError(f"divisor {exc.args[0]} has no multiplicity") from None
         # B = sum nu_i D_i has a p-th root only if B.D_j = 0 mod p for every j
@@ -162,7 +163,7 @@ def _fold(
     offending = []
     walked = {}  # q -> (hit, 12p s, p c, l)
     scf_num = ccf_num = lcf = 0
-    for (i, j), q, count in _node_table(ra, ma):
+    for (i, j), q, count in _node_table(ra, _assigned_nu(ra, ma), p):
         terms = walked.get(q)
         if terms is None:
             hit, f, length, e_sum, inverse = _node_walk(q, p, droot, bound)

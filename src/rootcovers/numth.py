@@ -307,9 +307,12 @@ def _reciprocity(rems: list[int]) -> int:
     _check_coprime(rems[1], rems[0], rems[-2])
     f, a = 0, 1
     for b in rems[-3::-1]:  # (a, b) = (r_(k+1), r_k) from the last step up
-        f, rem = divmod(a * (a - 3 * b) + b * (b - f) + 1, a)
-        if rem:
-            raise ConsistencyError(f"reciprocity step at ({a}, {b}) left remainder {rem}")
+        num = a * (a - 3 * b) + b * (b - f) + 1
+        f = num // a
+        if f * a != num:
+            raise ConsistencyError(
+                f"reciprocity step at ({a}, {b}) left remainder {num - f * a}"
+            )
         a = b
     return f
 

@@ -11,16 +11,18 @@ exactly uniform over all positive solutions (sequential conditional
 sampling: a part before the block's all-ones tail bisects the prefix-count
 identity of the suffix counts, O(log p) probes, and a part of the tail
 inverts one binomial from an integer root that lies below it by AM-GM,
-even roots by isqrt, then walks up by a few exact ratio steps), and a
+even roots by isqrt, odd roots by integer Newton steps from a float hint
+that the steps prove, then walks up by a few exact ratio steps), and a
 solution is "good" when none of its node residues p - nu_i' nu_j falls in
-the Farey bad set.  The node residues come from one walk over the
-resolution's nodes (`_node_table`, one inverse per divisor, no
-NodeResidue), which `node_residues` and `covers.report` read as it is.
+the Farey bad set.  The multiplicities are one list by divisor
+(`_divisor_nu`), and the node residues come from one walk over the
+resolution's nodes and that list (`_node_table`, one inverse per divisor,
+no NodeResidue), which `node_residues` and `covers.report` read as it is.
 One lazy filter over it (`_bad_nodes`) yields the nodes whose residue is a
-Farey neighbour, by the lazy Farey walk (`numth._farey_hit`) with its
-bounds taken once per try: `is_good` keeps them all as its offending list,
-and the rejection sampler stops a try at the first.  A `GoodnessReport` stores that list only; its
-verdict `good` is read off it.
+Farey neighbour, by the lazy Farey walk (`numth._farey_hit`) with bounds
+its caller takes once: `is_good` keeps them all as its offending list, and
+the rejection sampler stops a try at the first.  A `GoodnessReport`
+stores that list only; its verdict `good` is read off it.
 
 The suffix counts of the levels before a block's all-ones tail (whose
 counts are binomial) are Sylvester's denumerants: quasi-polynomials in the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, gcd, isqrt, lcm
+from math import comb, factorial, gcd, isqrt, lcm, log2
 
 from .arrangements import Arrangement, ResolvedArrangement
 from .errors import (
@@ -264,24 +266,26 @@ def count_solutions(sys: DiophSystem) -> int:
 
 
 def _iroot(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0 and k >= 1, in integers alone.
+    """floor(x ** (1/k)) for x >= 0 and k >= 1, exact at any size.
 
     An even root is the (k/2)-th root of isqrt(x), since floor roots
     compose: floor(y^(1/m)) = floor(floor(y)^(1/m)) for every real y >= 0.
-    An odd root takes Newton's step r -> ((k-1) r + x // r^(k-1)) // k,
-    which never goes below the floor root from above, and stops there.  It
-    starts from (y + 1) 2^s, where y is the root of x >> ks and s is about
-    half the root's bits, so the start is an upper bound that already has
-    half the bits right; a root below 64 starts from 2^ceil(bits / k)
-    instead.
+    An odd root takes Newton's step r -> ((k-1) r + x // r^(k-1)) // k.  By
+    AM-GM one step from any positive r lands at or above the floor root,
+    and from there the steps descend to it and stop; so the float start
+    2^(log2(x) / k) is only a hint that the integer steps then prove, and
+    a start a few units off costs a step, not a wrong root.  A root above
+    2^1000 nears the float's limit (2 ** 1024 overflows), so its hint keeps
+    64 bits in the float and shifts the rest in.
     """
     if k == 1 or x < 2:
         return x
     if k % 2 == 0:
         return _iroot(isqrt(x), k // 2)
-    b = x.bit_length()
-    s = b // (2 * k)
-    r = (_iroot(x >> (k * s), k) + 1) << s if s > 2 else 1 << -(-b // k)
+    e = log2(x) / k
+    shift = int(e) - 64 if e > 1000 else 0
+    r = (int(2 ** (e - shift)) + 1) << shift
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
     while True:
         y = ((k - 1) * r + x // r ** (k - 1)) // k
         if y >= r:
@@ -297,7 +301,8 @@ def _draw_ones(rem: int, ones: int, rng: random.Random) -> list[int]:
     total, the part is the smallest M with C(rem-1-M, k) < T = total - r,
     so it is rem-1-n for the largest n with C(n, k) < T.  The start n = k-1
     or r + (k-1)//2, r the integer k-th root of T k! - 1, lies below T (by
-    AM-GM, C(n, k) <= (n - (k-1)/2)^k / k! <= r^k / k!), so the walk only
+    AM-GM, C(n, k) <= (n - (k-1)/2)^k / k! <= r^k / k!; r is exact, so
+    the float hint inside _iroot changes no draw), so the walk only
     goes up, by exact steps C(n+1, k) = C(n, k) (n+1) / (n+1-k) (C(k, k) = 1
     is taken as it is: its ratio would divide by zero).  The next total
     C(n, k-1) is one more ratio step, or 1 at n = k-1.  So math.comb runs
@@ -460,33 +465,43 @@ class MultiplicityAssignment:
                 )
 
 
+def _divisor_nu(resolved: ResolvedArrangement, sol: PartitionSolution) -> list[int]:
+    """The sum of the mu over each divisor's curves mod p, in divisor order:
+    a proper transform keeps its own mu, and a blow-up divisor gets the sum
+    over the curves through its point.  A 0 is left in place for the
+    caller to refuse."""
+    p = sol.p
+    mu = sol.mu.__getitem__
+    try:
+        return [sum(map(mu, div.curves)) % p for div in resolved.divisors]
+    except KeyError as exc:
+        raise ValidationError(
+            "mu-missing", f"solution has no mu for curve {exc.args[0]!r}"
+        ) from None
+
+
 def assign(
     resolved: ResolvedArrangement, sol: PartitionSolution
 ) -> MultiplicityAssignment:
-    """Push mu down to every divisor of the log resolution.
+    """Push mu down to every divisor of the log resolution (_divisor_nu).
 
-    Each divisor gets the sum of the mu over its curves mod p: a proper
-    transform keeps its own mu, and a blow-up divisor gets the sum over the
-    curves through its point.  A zero sum makes the cover data invalid, so
-    the solution must be rejected (ExceptionalVanishes).
+    A zero sum makes the cover data invalid, so the solution must be
+    rejected (ExceptionalVanishes).
     """
-    p = sol.p
-    mu = sol.mu.__getitem__
-    nu: dict[str, int] = {}
-    for div in resolved.divisors:
-        try:
-            total = sum(map(mu, div.curves)) % p
-        except KeyError as exc:
-            raise ValidationError(
-                "mu-missing", f"solution has no mu for curve {exc.args[0]!r}"
-            ) from None
-        if total == 0:
-            raise ExceptionalVanishes(
-                f"blow-up divisor {div.id} over {div.curves} "
-                f"gets multiplicity 0 mod {p}"
-            )
-        nu[div.id] = total
-    return MultiplicityAssignment(p, nu)
+    nu = _divisor_nu(resolved, sol)
+    if 0 in nu:
+        div = resolved.divisors[nu.index(0)]
+        raise ExceptionalVanishes(
+            f"blow-up divisor {div.id} over {div.curves} "
+            f"gets multiplicity 0 mod {sol.p}"
+        )
+    return MultiplicityAssignment(sol.p, {div.id: n for div, n in zip(resolved.divisors, nu)})
+
+
+def _assigned_nu(resolved: ResolvedArrangement, ma: MultiplicityAssignment) -> list[int]:
+    """ma's multiplicities as a list in divisor order, the form _node_table
+    reads; a divisor with no multiplicity raises KeyError."""
+    return [ma.nu[div.id] for div in resolved.divisors]
 
 
 @dataclass(frozen=True)
@@ -496,19 +511,18 @@ class NodeResidue:
     count: int
 
 
-def _node_table(resolved: ResolvedArrangement, ma: MultiplicityAssignment):
+def _node_table(resolved: ResolvedArrangement, nu: list[int], p: int):
     """Yield ((i, j), q, count) for each intersecting divisor pair, lazily,
-    in node_residues order, with divisor indices and no NodeResidue.  The
-    resolution keeps the pairs in (i, j) order, so each divisor's inverse
-    nu_i' is computed once, at its first node."""
-    p, nu = ma.p, ma.nu
-    divisors = resolved.divisors
+    in node_residues order, with divisor indices and no NodeResidue; nu[i]
+    is divisor i's multiplicity.  The resolution keeps the pairs in (i, j)
+    order, so each divisor's inverse nu_i' is computed once, at its first
+    node."""
     last = None
     for pair, count in resolved.nodes.items():
         i, j = pair
         if i != last:
-            last, inverse = i, pow(nu[divisors[i].id], -1, p)
-        yield pair, p - inverse * nu[divisors[j].id] % p, count
+            last, inverse = i, pow(nu[i], -1, p)
+        yield pair, p - inverse * nu[j] % p, count
 
 
 def node_residues(
@@ -520,18 +534,16 @@ def node_residues(
     divisors = resolved.divisors
     return [
         NodeResidue((divisors[i].id, divisors[j].id), q, count)
-        for (i, j), q, count in _node_table(resolved, ma)
+        for (i, j), q, count in _node_table(resolved, _assigned_nu(resolved, ma), ma.p)
     ]
 
 
-def _bad_nodes(resolved: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig):
+def _bad_nodes(resolved: ResolvedArrangement, nu: list[int], p: int, droot: int, bound: int):
     """Yield ((i, j), q) for each node whose residue is a Farey neighbour,
-    lazily, in node order: the one Farey filter over _node_table, with the
-    bounds taken once per walk.  A caller that stops at the first node
-    yielded tests none of the nodes after it."""
-    p = ma.p
-    droot, bound = _farey_bounds(p, config)
-    for pair, q, _ in _node_table(resolved, ma):
+    lazily, in node order: the one Farey filter over _node_table, with
+    droot and bound from _farey_bounds taken by the caller.  A caller that
+    stops at the first node yielded tests none of the nodes after it."""
+    for pair, q, _ in _node_table(resolved, nu, p):
         if _farey_hit(q, p, droot, bound):
             yield pair, q
 
@@ -551,10 +563,9 @@ def is_good(
     config: FareyConfig = DEFAULT_FAREY,
 ) -> GoodnessReport:
     """Good iff no node residue is a Farey neighbour (_bad_nodes)."""
-    divisors = resolved.divisors
-    return GoodnessReport(tuple(
-        ((divisors[i].id, divisors[j].id), q) for (i, j), q in _bad_nodes(resolved, ma, config)
-    ))
+    divisors, p = resolved.divisors, ma.p
+    bad = _bad_nodes(resolved, _assigned_nu(resolved, ma), p, *_farey_bounds(p, config))
+    return GoodnessReport(tuple(((divisors[i].id, divisors[j].id), q) for (i, j), q in bad))
 
 
 @dataclass(frozen=True)
@@ -576,8 +587,11 @@ def sample_good(
     Solutions whose blow-up multiplicity vanishes mod p count as bad tries.
     The try count is an empirical estimate of the bad fraction.  For
     parallel work, split seeds as seed + worker index; a single call is
-    fully deterministic in `seed`.  A try stops at its first node in the
-    bad set (_bad_nodes), so only an accepted try checks every node;
+    fully deterministic in `seed`.  A try works on its multiplicities as
+    one list by divisor (_divisor_nu) against Farey bounds taken once per
+    call, and stops at its first node in the bad set (_bad_nodes), so only
+    an accepted try checks every node, and only it builds the
+    MultiplicityAssignment (equal to assign's) and the GoodSample.
     max_tries x nodes above MAX_SAMPLING_NODES, the worst case, is refused
     before the first draw.
     """
@@ -590,14 +604,15 @@ def sample_good(
             f"the budget is {MAX_SAMPLING_NODES}"
         )
     rng = random.Random(seed)
+    p = sys.p
+    droot, bound = _farey_bounds(p, config)
     for tries in range(1, max_tries + 1):
         sol = _sample(sys, rng)
-        try:
-            ma = assign(resolved, sol)
-        except ExceptionalVanishes:
+        nu = _divisor_nu(resolved, sol)
+        if 0 in nu or next(_bad_nodes(resolved, nu, p, droot, bound), None) is not None:
             continue
-        if next(_bad_nodes(resolved, ma, config), None) is None:
-            return GoodSample(sol, ma, tries)
+        ma = MultiplicityAssignment(p, {div.id: n for div, n in zip(resolved.divisors, nu)})
+        return GoodSample(sol, ma, tries)
     raise ExhaustedTries(max_tries)
 
 

@@ -7,7 +7,7 @@ they live beside the tests because nothing in the package needs them.
 
 import random
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, factorial, gcd, isqrt
 
 from rootcovers.arrangements import ResolvedArrangement, log_chern_resolved
 from rootcovers.covers import CoverSpec
@@ -373,6 +373,48 @@ def bisect_ones(rem, ones, rng) -> list[int]:
                 lo = mid + 1
         parts.append(lo)
         rem -= lo
+    parts.append(rem)
+    return parts
+
+
+def iroot_integer(x: int, k: int) -> int:
+    """floor(x ** (1/k)) in integers alone, the package's route before its
+    float start: an odd root starts Newton's descent from (y + 1) 2^s, y
+    the root of x >> ks with s about half the root's bits, or from
+    2^ceil(bits / k) below 64."""
+    if k == 1 or x < 2:
+        return x
+    if k % 2 == 0:
+        return iroot_integer(isqrt(x), k // 2)
+    b = x.bit_length()
+    s = b // (2 * k)
+    r = (iroot_integer(x >> (k * s), k) + 1) << s if s > 2 else 1 << -(-b // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
+
+
+def draw_ones_integer(rem, ones, rng) -> list[int]:
+    """The package's all-ones tail draw with iroot_integer as its start:
+    each part is rem-1-n for the largest n with C(n, k) < T, walked up from
+    the AM-GM start by exact ratio steps."""
+    parts = []
+    k = ones - 1
+    total = comb(rem - 1, k)
+    k_fact = factorial(k)
+    while k:
+        T = total - rng.randrange(total)
+        n = max(k - 1, iroot_integer(T * k_fact - 1, k) + (k - 1) // 2)
+        c = comb(n, k)
+        while (up := c * (n + 1) // (n + 1 - k) if n >= k else 1) < T:
+            n, c = n + 1, up
+        parts.append(rem - 1 - n)
+        rem = n + 1
+        total = c * k // (n + 1 - k) if n >= k else 1
+        k_fact //= k
+        k -= 1
     parts.append(rem)
     return parts
 

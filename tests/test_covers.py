@@ -444,7 +444,8 @@ def _count_walks(monkeypatch):
 def _residue_weights(spec):
     """q -> summed count of the nodes with residue q, in first-seen order."""
     weights = Counter()
-    for _, q, count in pt._node_table(spec.resolved, spec.nu):
+    nu = pt._assigned_nu(spec.resolved, spec.nu)
+    for _, q, count in pt._node_table(spec.resolved, nu, spec.p):
         weights[q] += count
     return weights
 
