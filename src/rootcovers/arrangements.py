@@ -19,7 +19,6 @@ groups it keeps as `a.data`; only an explicit `validate(a)` re-runs the checks.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -94,6 +93,8 @@ _RESERVED_ID = re.compile(r"^E\d+$")
 
 @dataclass(frozen=True)
 class CurveDecl:
+    """One curve: genus, self-intersection, block index and block weight u."""
+
     id: str
     genus: int
     self_int: int
@@ -115,6 +116,8 @@ class CurveDecl:
 
 @dataclass(frozen=True)
 class PointDecl:
+    """One point of the arrangement: the ids of the >= 2 curves through it."""
+
     curves: tuple[str, ...]
 
     def __post_init__(self):
@@ -160,6 +163,8 @@ class CombinatorialData:
 
 @dataclass(frozen=True)
 class LogChernNumbers:
+    """The log Chern numbers c1bar^2 and c2bar of an arrangement."""
+
     c1bar_sq: int
     c2bar: int
 
@@ -265,6 +270,8 @@ def log_chern_direct(a: Arrangement) -> LogChernNumbers:
 
 @dataclass(frozen=True)
 class ResolvedCurve:
+    """One divisor of the log resolution: a proper transform or a blow-up divisor."""
+
     id: str
     kind: str  # "proper" or "exceptional"
     genus: int
@@ -274,6 +281,8 @@ class ResolvedCurve:
 
 @dataclass
 class ResolvedArrangement:
+    """The log resolution: its surface, its divisors and node counts per divisor pair."""
+
     surface: SurfaceClass  # after blowing up the k points of degree >= 3
     divisors: tuple[ResolvedCurve, ...]
     nodes: dict[tuple[int, int], int]  # divisor pair (i < j) -> node count, kept sorted
@@ -518,6 +527,8 @@ GENERATORS = {
 
 @dataclass(frozen=True)
 class ArrangementDiagnostics:
+    """The plane-line incidence inequalities and the 8/3 ratio cap, evaluated."""
+
     incidence_lhs: Fraction  # t_2 + (3/4) t_3
     incidence_rhs: Fraction  # d + sum_{n>4} (n-4) t_n
     incidence_holds: bool
@@ -555,6 +566,8 @@ _FORMAT_MARKER = "arrangement/1"
 
 def to_text(a: Arrangement) -> str:
     """Canonical serialization: fixed key order, one curve/point per line."""
+    import json
+
     lines = ["{"]
     lines.append(f'  "format": {json.dumps(_FORMAT_MARKER)},')
     surface = {"name": a.surface.name, "c1_sq": a.surface.c1_sq, "c2": a.surface.c2}
@@ -588,6 +601,8 @@ def _require(doc: dict, key: str, kind: type, where: str = "document"):
 
 def from_text(text: str) -> Arrangement:
     """Parse the canonical arrangement format; errors carry line numbers."""
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -22,8 +22,8 @@ internal error (a failed cross-check: a bug, never bad input).
 
 from __future__ import annotations
 
-import argparse
 import inspect
+import re
 import sys
 from fractions import Fraction
 
@@ -47,12 +47,29 @@ EXIT_TABLE_MISMATCH = 5
 EXIT_INTERNAL = 6
 
 
+# Most decimal digits --C may have above or below its bar: the manifest prints
+# C, and Python refuses to print a longer int (its int/str conversion limit).
+MAX_C_DIGITS = 4300
+
+
 def _parse_rational(text: str) -> Fraction:
     # argparse turns only ArgumentTypeError/ValueError into a usage error (exit 2)
+    import argparse
+
+    # Fraction computes 10**exponent, so an exponent past 2 x MAX_C_DIGITS is
+    # refused before that: int takes at most MAX_C_DIGITS digits on each side
+    # of the point, so such a C has too many digits (or is 0, refused anyway).
+    exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
     try:
-        return Fraction(text)
+        too_long = exponent is not None and abs(int(exponent[1])) > 2 * MAX_C_DIGITS
+        x = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}") from exc
+    if x is None or max(abs(x.numerator), x.denominator) >= 10**MAX_C_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"rational {text!r} has more than {MAX_C_DIGITS} digits above or below its bar"
+        )
+    return x
 
 
 def _fr(x: Fraction | None) -> str | None:
@@ -393,6 +410,8 @@ def _cmd_badset(args, out: _Output) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rootcovers",
         description="Exact Chern invariants of cyclic root covers of curve arrangements",

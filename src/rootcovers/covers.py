@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import median
 
 from .arrangements import (
     Arrangement,
@@ -295,13 +294,13 @@ def _sampled_report(spec: CoverSpec) -> ChernReport:
 # Convergence experiments
 
 # Most samples (primes x samples per prime) one convergence_scan may hold.
-# On dual Hesse at 1000003 a sample costs about 0.65-0.8 ms (perf_counter
-# over scans of 2,000 samples on a shared 2-core x86-64 host with Python
-# 3.11, whose speed drifts about 2x from run to run) and 1.1 KB held
-# (tracemalloc, 1,000 samples at 1000003 and 4000037), so the largest
-# accepted scan takes about 20-24 s and 32 MB.  A
-# report keeps no node table and no ratio, so pg2(7), with 456 nodes to dual
-# Hesse's 36, holds about 3.0 KB a sample.
+# On dual Hesse at 1000003 a sample costs about 0.36-0.57 ms (perf_counter
+# over eight scans of 2,000 samples, seeds 1-8, on a shared 2-core x86-64
+# host with Python 3.11, whose speed drifts about 2x from run to run) and
+# 1.1 KB held (tracemalloc, 1,000 samples at 1000003 and 4000037), so the
+# largest accepted scan takes about 11-17 s (one at seed 1 took 11.6 s) and
+# 32 MB.  A report keeps no node table and no ratio, so pg2(7), with 456
+# nodes to dual Hesse's 36, holds about 3.0 KB a sample.
 MAX_SCAN_SAMPLES = 30_000
 # Most node checks (primes x max_tries x nodes) one convergence_scan may
 # spend when every prime exhausts its tries and is skipped.  Such scans just
@@ -317,6 +316,8 @@ MAX_SCAN_NODE_CHECKS = 4_000_000
 
 @dataclass(frozen=True)
 class ScanSample:
+    """One good cover sampled by convergence_scan, with its seed, tries and report."""
+
     p: int
     index: int
     seed: int
@@ -327,6 +328,8 @@ class ScanSample:
 
 @dataclass(frozen=True)
 class ScanSummary:
+    """The ratio c1^2/c2 over one prime's samples: least, median, greatest, gap."""
+
     p: int
     samples: int
     ratio_min: Fraction
@@ -337,6 +340,8 @@ class ScanSummary:
 
 @dataclass(frozen=True)
 class ScanResult:
+    """What convergence_scan found: every sample, one summary per prime, the skips."""
+
     log_ratio: Fraction
     samples: tuple[ScanSample, ...]
     summaries: tuple[ScanSummary, ...]
@@ -368,6 +373,8 @@ def convergence_scan(
     sample; later samples are bounded only per call, by sample_good's
     MAX_SAMPLING_NODES.
     """
+    from statistics import median
+
     if samples_per_prime < 1:
         raise ValueError(f"need at least 1 sample per prime, got {samples_per_prime}")
     primes = list(primes)

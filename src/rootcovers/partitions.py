@@ -105,6 +105,8 @@ MAX_PARTITION_CHARS = 4_000_000
 
 @dataclass(frozen=True)
 class DiophBlock:
+    """One block's equation u_1 mu_1 + ... + u_k mu_k = p, by curve id."""
+
     curve_ids: tuple[str, ...]
     u: tuple[int, ...]
 
@@ -120,6 +122,8 @@ class DiophBlock:
 
 @dataclass(frozen=True)
 class DiophSystem:
+    """The blocks' equations at one prime p."""
+
     p: int
     blocks: tuple[DiophBlock, ...]
 
@@ -454,6 +458,8 @@ def sample_uniform(sys: DiophSystem, seed: int) -> PartitionSolution:
 
 @dataclass(frozen=True)
 class MultiplicityAssignment:
+    """Each divisor's multiplicity nu in (0, p), by divisor id."""
+
     p: int
     nu: dict[str, int]
 
@@ -506,6 +512,8 @@ def _assigned_nu(resolved: ResolvedArrangement, ma: MultiplicityAssignment) -> l
 
 @dataclass(frozen=True)
 class NodeResidue:
+    """One node pair of divisors, its residue p - nu_i' nu_j and its node count."""
+
     pair: tuple[str, str]
     q: int
     count: int
@@ -550,6 +558,8 @@ def _bad_nodes(resolved: ResolvedArrangement, nu: list[int], p: int, droot: int,
 
 @dataclass(frozen=True)
 class GoodnessReport:
+    """The nodes whose residue is a Farey neighbour; the cover is good iff none."""
+
     offending: tuple[tuple[tuple[str, str], int], ...]
 
     @property
@@ -570,6 +580,8 @@ def is_good(
 
 @dataclass(frozen=True)
 class GoodSample:
+    """A good solution, its multiplicities and the tries it took to sample."""
+
     solution: PartitionSolution
     assignment: MultiplicityAssignment
     tries: int

@@ -10,9 +10,7 @@ PASS/FAIL listing with a nonzero exit status on any mismatch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 from .arrangements import GENERATORS, resolve
 from .covers import CoverSpec, report, truncate_decimal
@@ -26,12 +24,17 @@ TABLE_NAMES = ("remark71a", "remark71b", "section10")
 def load_table(name: str) -> dict:
     if name not in TABLE_NAMES:
         raise ValueError(f"unknown table {name!r}; choose from {TABLE_NAMES}")
+    import json
+    from importlib import resources
+
     text = resources.files("rootcovers.data").joinpath(f"{name}.json").read_text()
     return json.loads(text)
 
 
 @dataclass(frozen=True)
 class TableRow:
+    """One reference row: its prime, partition, expected and computed values."""
+
     index: int
     p: int
     parts: tuple[tuple[int, ...], ...]
@@ -45,6 +48,8 @@ class TableRow:
 
 @dataclass(frozen=True)
 class TableRun:
+    """One reference table recomputed row by row."""
+
     name: str
     title: str
     rows: tuple[TableRow, ...]

@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
@@ -750,8 +751,9 @@ def test_generate_over_budget(capsys):
 
 
 _EDGE_CASES = [
-    # --C: unparsable values are argparse usage errors, C <= 0 a validation error,
-    # and a huge C makes every node bad (invariants exhausts its tries, scan skips p)
+    # --C: unparsable values and those with more than 4300 digits above or below
+    # the bar are argparse usage errors, C <= 0 a validation error, and a huge C
+    # makes every node bad (invariants exhausts its tries, scan skips p)
     *[
         (cmd, ["--C", C], code)
         for C, codes in (
@@ -759,6 +761,8 @@ _EDGE_CASES = [
             ("-1", (EXIT_VALIDATION,) * 4),
             ("abc", (EXIT_VALIDATION,) * 4),
             ("1/0", (EXIT_VALIDATION,) * 4),
+            ("1e4300", (EXIT_VALIDATION,) * 4),
+            ("1e-5000", (EXIT_VALIDATION,) * 4),
             (str(10**12), (EXIT_EXHAUSTED, EXIT_OK, EXIT_OK, EXIT_OK)),
         )
         for cmd, code in zip(("invariants", "scan", "badset", "numth"), codes)
@@ -807,6 +811,19 @@ def test_edge_values_exit_cleanly(cmd, edge, code, dual_hesse_file, capsys):
         got = exc.code
     assert got == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_long_rational_refused_before_it_is_built():
+    # Fraction("1e9999999") alone computes 10**9999999, about 10 s; past
+    # MAX_C_DIGITS digits above or below the bar, C cannot be printed either
+    start = perf_counter()
+    for text in ("1e9999999", "1e99999999", "1e4300", "1e-5000", "-1E+9_999_999"):
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 4300 digits"):
+            cli._parse_rational(text)
+    assert perf_counter() - start < 1.0
+    for text, value in (("3/2", Fraction(3, 2)), ("0.5", Fraction(1, 2)), ("1e3", 1000),
+                        ("1e4299", 10**4299), ("5e-4300", Fraction(1, 2 * 10**4299))):
+        assert cli._parse_rational(text) == value
 
 
 def test_badset_density_decreasing(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 from rootcovers import arrangements, cli, covers, numth, partitions
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-_MODULES = {m.__name__.split(".")[-1]: m for m in (numth, arrangements, partitions, covers)}
+_MODULES = {m.__name__.split(".")[-1]: m for m in (numth, arrangements, partitions, covers, cli)}
 
 
 def _command_lines() -> list[str]:
