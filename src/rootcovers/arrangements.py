@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from .errors import BudgetError, FileFormatError, ValidationError
+from .errors import BudgetError, FileFormatError, ValidationError, record
 from .numth import is_prime
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceClass:
     """Chern data of the background surface; c1^2 + c2 must be 0 mod 12."""
 
@@ -91,7 +91,7 @@ P1xP1 = SurfaceClass("P1xP1", 8, 4)
 _RESERVED_ID = re.compile(r"^E\d+$")
 
 
-@dataclass(frozen=True)
+@record
 class CurveDecl:
     """One curve: genus, self-intersection, block index and block weight u."""
 
@@ -114,7 +114,7 @@ class CurveDecl:
             )
 
 
-@dataclass(frozen=True)
+@record
 class PointDecl:
     """One point of the arrangement: the ids of the >= 2 curves through it."""
 
@@ -129,7 +129,7 @@ class PointDecl:
             )
 
 
-@dataclass(frozen=True)
+@record
 class Arrangement:
     """Checked once, when built: `data` is what validate returned (not compared)."""
 
@@ -148,7 +148,7 @@ class Arrangement:
         return len(self.curves)
 
 
-@dataclass(frozen=True)
+@record
 class CombinatorialData:
     """d, the point-degree counts t_n (only nonzero entries are stored), and
     each block's curves in arrangement order, block b at index b - 1."""
@@ -161,7 +161,7 @@ class CombinatorialData:
         return self.t.get(n, 0)
 
 
-@dataclass(frozen=True)
+@record
 class LogChernNumbers:
     """The log Chern numbers c1bar^2 and c2bar of an arrangement."""
 
@@ -268,7 +268,7 @@ def log_chern_direct(a: Arrangement) -> LogChernNumbers:
 # Log resolution
 
 
-@dataclass(frozen=True)
+@record
 class ResolvedCurve:
     """One divisor of the log resolution: a proper transform or a blow-up divisor."""
 
@@ -525,7 +525,7 @@ GENERATORS = {
 # Plane line-arrangement diagnostics (advisory realizability heuristics)
 
 
-@dataclass(frozen=True)
+@record
 class ArrangementDiagnostics:
     """The plane-line incidence inequalities and the 8/3 ratio cap, evaluated."""
 

@@ -31,7 +31,6 @@ ratios are read off those, and a ratio with denominator 0 is None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangements import (
@@ -48,6 +47,7 @@ from .errors import (
     ExhaustedTries,
     NonIntegral,
     ValidationError,
+    record,
 )
 from .numth import (
     DEFAULT_FAREY,
@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class CoverSpec:
     """All data needed to evaluate one cover: prime, resolution, nu, C."""
 
@@ -116,7 +116,7 @@ class CoverSpec:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class ErrorTerms:
     """Node-residue sums weighted by intersection counts, as integers.
 
@@ -202,7 +202,7 @@ def _invariants(
     return Fraction(chi_num, 12 * p), Fraction(c1_num, p), c2_v
 
 
-@dataclass(frozen=True)
+@record
 class ChernReport:
     """What report computed; the ratios and the verdict are read off it.
     A ratio whose denominator is 0 is None."""
@@ -314,7 +314,7 @@ MAX_SCAN_SAMPLES = 30_000
 MAX_SCAN_NODE_CHECKS = 4_000_000
 
 
-@dataclass(frozen=True)
+@record
 class ScanSample:
     """One good cover sampled by convergence_scan, with its seed, tries and report."""
 
@@ -326,7 +326,7 @@ class ScanSample:
     report: ChernReport
 
 
-@dataclass(frozen=True)
+@record
 class ScanSummary:
     """The ratio c1^2/c2 over one prime's samples: least, median, greatest, gap."""
 
@@ -338,7 +338,7 @@ class ScanSummary:
     gap: Fraction  # |median - log Chern ratio|
 
 
-@dataclass(frozen=True)
+@record
 class ScanResult:
     """What convergence_scan found: every sample, one summary per prime, the skips."""
 

@@ -15,10 +15,11 @@ node reads all of it off one pass (`_node_walk`), made once per distinct
 residue of the cover; Farey membership on its own (`_farey_hit`, under
 `is_farey_neighbour` and the sampler) walks the remainders lazily, stopping
 where the verdict is known.  `canonical_part` and `dedekind_from_ncf` read
-q' and gcd(q, p) off their one pass too.  The bad set is the images
-r * d^-1 mod p, O(C sqrt(p) log p + sqrt(p)): the inverses from one linear
-table, the images of r >= 1 in batched rows and columns of C-level `map`
-calls, and those of -r as their mirror p - x.  Every Farey route reads its
+q' and gcd(q, p) off their one pass too, and `ncf_length` and
+`ncf_expand` read the gcd.  The bad set is the images r * d^-1 mod p,
+O(C sqrt(p) log p + sqrt(p)): the inverses from one linear table, the
+images of r >= 1 in batched rows and columns of C-level `map` calls, and
+those of -r as their mirror p - x.  Every Farey route reads its
 radius from `_farey_bounds`: `is_farey_neighbour` and `bad_set` once per
 call, the sampler once per try and `report` once per cover, handing it to
 `_farey_hit` and `_node_walk`.  A residue that shares a factor with p is
@@ -44,12 +45,11 @@ generated by b_{-1} = p, b_0 = q and b_{i-2} = b_{i-1} e_i - b_i with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .errors import BudgetError, ConsistencyError
+from .errors import BudgetError, ConsistencyError, record
 
 __all__ = [
     "NcfExpansion",
@@ -161,7 +161,7 @@ def mod_inverse(q: int, p: int) -> int:
 # Negative-regular continued fractions
 
 
-@dataclass(frozen=True)
+@record
 class NcfExpansion:
     """p/q = [e_1, ..., e_s] together with its remainder chain.
 
@@ -178,8 +178,8 @@ class NcfExpansion:
 
 
 def ncf_expand(q: int, p: int) -> NcfExpansion:
-    """Expand p/q with all partial quotients >= 2 (iterative, O(s) memory)."""
-    _check_residue(q, p)
+    """Expand p/q with all partial quotients >= 2 (iterative, O(s) memory);
+    q is refused as mod_inverse refuses it, before the length budget."""
     if _ncf_stats(q, p)[0] > MAX_NCF_LENGTH:
         raise BudgetError(f"ncf_expand({q}, {p}) has more than {MAX_NCF_LENGTH} terms")
     e: list[int] = []
@@ -209,7 +209,6 @@ def ncf_eval(e) -> Fraction:
 
 def ncf_length(q: int, p: int) -> int:
     """Number of partial quotients of p/q; equals ncf_expand(q, p).length."""
-    _check_residue(q, p)
     return _ncf_stats(q, p)[0]
 
 
@@ -255,8 +254,8 @@ def _euclid(
 
 
 def _ncf_stats(q: int, p: int) -> tuple[int, int]:
-    """(length, sum e_i) of p/q, from one Euclid pass."""
-    return _euclid(q, p)[2:4]
+    """(length, sum e_i) of p/q, from one Euclid pass (see _ncf_inverse)."""
+    return _ncf_inverse(q, p)[:2]
 
 
 def _ncf_inverse(q: int, p: int) -> tuple[int, int, int]:
@@ -350,7 +349,7 @@ def rcf_total(n: int, m: int) -> int:
 # Farey bad set
 
 
-@dataclass(frozen=True)
+@record
 class FareyConfig:
     """Neighbourhood scale C > 0 for the Farey bad set (default C = 1)."""
 

@@ -34,7 +34,6 @@ so nothing is tabulated up to p.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, gcd, isqrt, lcm, log2
 
@@ -47,6 +46,7 @@ from .errors import (
     ExhaustedTries,
     FileFormatError,
     ValidationError,
+    record,
 )
 from .numth import DEFAULT_FAREY, FareyConfig, _farey_bounds, _farey_hit, is_prime
 
@@ -103,7 +103,7 @@ MAX_SAMPLING_NODES = 1_000_000
 MAX_PARTITION_CHARS = 4_000_000
 
 
-@dataclass(frozen=True)
+@record
 class DiophBlock:
     """One block's equation u_1 mu_1 + ... + u_k mu_k = p, by curve id."""
 
@@ -120,7 +120,7 @@ class DiophBlock:
             raise ValidationError("block-gcd", f"block u-gcd is {g}, must be 1")
 
 
-@dataclass(frozen=True)
+@record
 class DiophSystem:
     """The blocks' equations at one prime p."""
 
@@ -151,7 +151,7 @@ def _ones_tail(u: tuple[int, ...]) -> int:
     return max((i + 1 for i, w in enumerate(u) if w != 1), default=0)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class _SuffixCount:
     """S(t), the number of positive solutions of v . x = t, for the weights
     v = u[j:] of one level.
@@ -371,7 +371,7 @@ def _sample_block(u: tuple[int, ...], target: int, rng: random.Random) -> list[i
     return parts
 
 
-@dataclass(frozen=True)
+@record
 class PartitionSolution:
     """mu weights per curve id; per-block sums are checked by the samplers
     and by validate_solution, not here (tests build raw assignments too)."""
@@ -456,7 +456,7 @@ def sample_uniform(sys: DiophSystem, seed: int) -> PartitionSolution:
 # Multiplicities on the log resolution
 
 
-@dataclass(frozen=True)
+@record
 class MultiplicityAssignment:
     """Each divisor's multiplicity nu in (0, p), by divisor id."""
 
@@ -510,7 +510,7 @@ def _assigned_nu(resolved: ResolvedArrangement, ma: MultiplicityAssignment) -> l
     return [ma.nu[div.id] for div in resolved.divisors]
 
 
-@dataclass(frozen=True)
+@record
 class NodeResidue:
     """One node pair of divisors, its residue p - nu_i' nu_j and its node count."""
 
@@ -556,7 +556,7 @@ def _bad_nodes(resolved: ResolvedArrangement, nu: list[int], p: int, droot: int,
             yield pair, q
 
 
-@dataclass(frozen=True)
+@record
 class GoodnessReport:
     """The nodes whose residue is a Farey neighbour; the cover is good iff none."""
 
@@ -578,7 +578,7 @@ def is_good(
     return GoodnessReport(tuple(((divisors[i].id, divisors[j].id), q) for (i, j), q in bad))
 
 
-@dataclass(frozen=True)
+@record
 class GoodSample:
     """A good solution, its multiplicities and the tries it took to sample."""
 

@@ -10,10 +10,9 @@ PASS/FAIL listing with a nonzero exit status on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arrangements import GENERATORS, resolve
 from .covers import CoverSpec, report, truncate_decimal
+from .errors import record
 from .partitions import assign, solution_from_parts, system_for
 
 __all__ = ["TABLE_NAMES", "TableRow", "TableRun", "load_table", "run_table"]
@@ -31,7 +30,7 @@ def load_table(name: str) -> dict:
     return json.loads(text)
 
 
-@dataclass(frozen=True)
+@record
 class TableRow:
     """One reference row: its prime, partition, expected and computed values."""
 
@@ -46,7 +45,7 @@ class TableRow:
         return self.computed == self.expected
 
 
-@dataclass(frozen=True)
+@record
 class TableRun:
     """One reference table recomputed row by row."""
 

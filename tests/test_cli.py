@@ -960,6 +960,17 @@ def test_dedekind_of_non_coprime_input_is_a_validation_error(values, capsys):
     assert "gcd" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "op, q, p, g", [("ncf", "2", "4", 2), ("ncf", "6", "9", 3), ("length", "2", "4", 2)]
+)
+def test_ncf_of_non_coprime_input_is_a_validation_error(op, q, p, g, capsys):
+    # the chain of p/q with gcd g > 1 ends at g, not at 1
+    assert main(["numth", op, q, p]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need gcd(q, p) = 1, got gcd({q}, {p}) = {g}\n"
+
+
 def test_dedekind_of_coprime_non_prime_modulus_runs(capsys):
     assert main(["numth", "dedekind", "3", "10"]) == EXIT_OK
     assert capsys.readouterr().out.count("= 0/1") == 3

@@ -673,12 +673,31 @@ def test_kernels_refuse_inputs_outside_their_domain():
 
 
 @pytest.mark.parametrize(
-    "kernel", [nt.mod_inverse, nt.canonical_part, nt.dedekind_fast, nt.dedekind_from_ncf]
+    "kernel",
+    [nt.mod_inverse, nt.canonical_part, nt.dedekind_fast, nt.dedekind_from_ncf,
+     nt.ncf_expand, nt.ncf_length],
 )
 def test_a_residue_sharing_a_factor_with_p_gets_one_message(kernel):
     with pytest.raises(ValueError) as info:
         kernel(6, 15)
     assert str(info.value) == "need gcd(q, p) = 1, got gcd(6, 15) = 3"
+
+
+@pytest.mark.parametrize("kernel", [nt.ncf_expand, nt.ncf_length])
+def test_ncf_refuses_the_range_then_the_gcd_then_the_budget(kernel, monkeypatch):
+    # the chain of p/q ends at gcd(q, p), so only gcd 1 gives b_(s-1) = 1
+    monkeypatch.setattr(nt, "MAX_NCF_LENGTH", 1)
+    for q, p in ((0, 4), (4, 4), (-2, 4), (9, 6)):
+        with pytest.raises(ValueError, match=r"need 0 < q < p"):
+            kernel(q, p)
+    for q, p, g in ((2, 4, 2), (6, 9, 3), (98, 100, 2), (3, 9, 3)):
+        with pytest.raises(ValueError) as info:
+            kernel(q, p)
+        assert str(info.value) == f"need gcd(q, p) = 1, got gcd({q}, {p}) = {g}"
+    assert nt.ncf_length(99, 100) == 99
+    with pytest.raises(BudgetError):
+        nt.ncf_expand(99, 100)
+    assert nt.ncf_expand(1, 100).b == (100, 1, 0)
 
 
 @pytest.mark.parametrize("C", [Fraction(1), Fraction(3, 2), Fraction(1, 3), Fraction(7, 5)])
