@@ -54,7 +54,6 @@ __all__ = [
     "diagnostics",
     "to_text",
     "from_text",
-    "save",
     "load",
 ]
 
@@ -270,10 +269,10 @@ def log_chern_direct(a: Arrangement) -> LogChernNumbers:
 
 @record
 class ResolvedCurve:
-    """One divisor of the log resolution: a proper transform or a blow-up divisor."""
+    """One divisor of the log resolution: a proper transform, with curves (id,),
+    or a blow-up divisor, with a reserved E<n> id and 3 or more curves."""
 
     id: str
-    kind: str  # "proper" or "exceptional"
     genus: int
     self_int: int
     curves: tuple[str, ...]  # arrangement curves whose mu sum to this divisor's nu
@@ -314,7 +313,6 @@ def resolve(a: Arrangement) -> ResolvedArrangement:
     divisors = [
         ResolvedCurve(
             id=c.id,
-            kind="proper",
             genus=c.genus,
             self_int=c.self_int - incident_heavy[c.id],
             curves=(c.id,),
@@ -331,7 +329,6 @@ def resolve(a: Arrangement) -> ResolvedArrangement:
         divisors.append(
             ResolvedCurve(
                 id=f"E{k + 1}",
-                kind="exceptional",
                 genus=0,
                 self_int=-1,
                 curves=pt.curves,
@@ -622,7 +619,7 @@ def from_text(text: str) -> Arrangement:
     )
     blocks = _require(doc, "blocks", int)
     flags = _require(doc, "flags", dict)
-    line_flag = bool(flags.get("line_arrangement", False))
+    line_flag = "line_arrangement" in flags and _require(flags, "line_arrangement", bool, "flags")
     curves = []
     for i, cdoc in enumerate(_require(doc, "curves", list)):
         if not isinstance(cdoc, dict):
@@ -643,11 +640,6 @@ def from_text(text: str) -> Arrangement:
             raise FileFormatError(f"point #{i + 1} must be a list of curve ids")
         points.append(PointDecl(tuple(pdoc)))
     return Arrangement(surface, blocks, tuple(curves), tuple(points), line_flag)
-
-
-def save(a: Arrangement, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_text(a))
 
 
 def load(path) -> Arrangement:

@@ -149,7 +149,7 @@ class ErrorTerms:
 def _fold(
     ra: ResolvedArrangement, ma: MultiplicityAssignment, config: FareyConfig
 ) -> tuple[ErrorTerms, tuple[tuple[tuple[str, str], int], ...]]:
-    """Walk each distinct node residue once (_node_walk, O(log p), which
+    """Walk each distinct node residue once (_node_walk, O(log p) steps, which
     also yields q') and fold its s, c, l into the sums once per node that
     has it, weighted by the node's count; also return the (divisor pair, q)
     of every Farey hit, in node order.

@@ -2,10 +2,12 @@
 
 Negative-regular continued fractions, Dedekind sums (three independent
 algorithms), regular continued-fraction totals, and the Farey bad set.
-One O(log p) forward Euclid pass over p/q (`_euclid`) stores its
-remainders and nothing else, and every per-residue route reads it.  The
-pass returns the NCF length l and sum e_i in closed form: with c Euclid
-quotients a_k and fix = 1 - c mod 2, the Hirzebruch-Jung conversion gives
+One forward Euclid pass over p/q (`_euclid`) stores its remainders and
+nothing else, and every per-residue route reads it.  It takes O(log p)
+steps, not time: each divides integers of about p, or of about p^2 in
+the reciprocity step below.  The pass returns the NCF length l and sum
+e_i in closed form: with c Euclid quotients a_k and fix = 1 - c mod 2,
+the Hirzebruch-Jung conversion gives
 l = sum_odd a + 1 - fix and sum e = sum_even a + 2 sum_odd a - fix.  The
 regular total is then sum a = sum e - l + 1, and 12p s(q, p) comes by
 reciprocity back up the remainders (`_reciprocity`).  The same pass
@@ -317,8 +319,8 @@ def _reciprocity(rems: list[int]) -> int:
 
 
 def dedekind_fast(q: int, p: int) -> Fraction:
-    """Dedekind sum via the reciprocity recursion (_reciprocity), O(log p),
-    in integers."""
+    """Dedekind sum via the reciprocity recursion (_reciprocity): O(log p)
+    steps, not time, each on integers of about p^2."""
     _check_residue(q, p)
     return Fraction(_reciprocity(_euclid(q, p)[1]), 12 * p)
 

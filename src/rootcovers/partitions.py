@@ -63,7 +63,6 @@ __all__ = [
     "GoodSample",
     "system_for",
     "count_solutions",
-    "sample_uniform",
     "validate_solution",
     "solution_from_parts",
     "solution_parts",
@@ -71,7 +70,6 @@ __all__ = [
     "node_residues",
     "is_good",
     "sample_good",
-    "solution_to_text",
     "solution_from_text",
 ]
 
@@ -447,11 +445,6 @@ def _sample(sys: DiophSystem, rng: random.Random) -> PartitionSolution:
     return PartitionSolution(sys.p, mu)
 
 
-def sample_uniform(sys: DiophSystem, seed: int) -> PartitionSolution:
-    """Exactly uniform positive solution; deterministic for a given seed."""
-    return _sample(sys, random.Random(seed))
-
-
 # ---------------------------------------------------------------------------
 # Multiplicities on the log resolution
 
@@ -630,13 +623,6 @@ def sample_good(
 
 # ---------------------------------------------------------------------------
 # Partition file format
-
-
-def solution_to_text(sys: DiophSystem, sol: PartitionSolution) -> str:
-    """Canonical text form: `p <prime>` then one `block ...` line per block."""
-    lines = [f"p {sys.p}"]
-    lines += ["block " + " ".join(map(str, parts)) for parts in solution_parts(sys, sol)]
-    return "\n".join(lines) + "\n"
 
 
 def solution_from_text(sys: DiophSystem, text: str) -> PartitionSolution:

@@ -198,7 +198,7 @@ def test_criterion_7_structural_invariants():
         sysd = pt.system_for(a, p)
         if pt.count_solutions(sysd) == 0:
             continue
-        sol = pt.sample_uniform(sysd, rnd.randrange(1 << 30))
+        sol = pt._sample(sysd, random.Random(rnd.randrange(1 << 30)))
         try:
             ma = pt.assign(ra, sol)
         except pt.ExceptionalVanishes:

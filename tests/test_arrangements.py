@@ -201,15 +201,18 @@ def test_resolve_dual_hesse():
     assert ra.sum_self_int == -39
     assert ra.t2_total == 36
     assert (ra.surface.c1_sq, ra.surface.c2) == (-3, 15)
-    propers = [d for d in ra.divisors if d.kind == "proper"]
-    exceptionals = [d for d in ra.divisors if d.kind == "exceptional"]
+    # a proper transform keeps its curve's id; a blow-up divisor has a
+    # reserved E<n> id and the 3 or more curves through its point
+    propers = [d for d in ra.divisors if d.curves == (d.id,)]
+    exceptionals = [d for d in ra.divisors if ar._RESERVED_ID.match(d.id)]
     assert len(propers) == 9 and len(exceptionals) == 12
+    assert all(len(d.curves) >= 3 for d in exceptionals)
     assert all(d.self_int == -3 for d in propers)
     assert all(d.self_int == -1 and d.genus == 0 for d in exceptionals)
     # every node involves an exceptional divisor here (t_2 = 0 upstairs)
     for (i, j), count in ra.nodes.items():
         assert count == 1
-        assert ra.divisors[j].kind == "exceptional"
+        assert ra.divisors[j] in exceptionals
     assert sum(ra.nodes.values()) == 36
 
 
@@ -341,6 +344,23 @@ def test_file_parse_errors_carry_line_numbers():
         ar.from_text('{"format": "arrangement/1", "surface": {"name": "P2"}}')
 
 
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None, []], ids=json.dumps)
+def test_file_line_arrangement_flag_must_be_a_boolean(value):
+    # a truthy "false" would run the line-pairs check on underline-ceva(3),
+    # which is no line arrangement
+    doc = json.loads(ar.to_text(ar.gen_underline_ceva(3)))
+    doc["flags"]["line_arrangement"] = value
+    with pytest.raises(FileFormatError, match="'line_arrangement' in flags must be bool"):
+        ar.from_text(json.dumps(doc))
+
+
+def test_file_missing_line_arrangement_flag_means_false():
+    for a in (ar.gen_underline_ceva(3), ar.gen_ceva(3)):
+        doc = json.loads(ar.to_text(a))
+        del doc["flags"]["line_arrangement"]
+        assert not ar.from_text(json.dumps(doc)).line_arrangement
+
+
 def test_file_top_level_must_be_an_object():
     with pytest.raises(FileFormatError, match="top level"):
         ar.from_text("[]")
@@ -443,7 +463,7 @@ def test_generator_budget_refuses_before_building():
 def test_file_save_load(tmp_path):
     a = ar.gen_ceva(4)
     path = tmp_path / "ceva4.json"
-    ar.save(a, path)
+    path.write_text(ar.to_text(a), encoding="utf-8")
     assert ar.load(path) == a
 
 
@@ -490,7 +510,7 @@ def test_largest_generator_outputs_fit_the_validate_and_load_budgets(tmp_path):
         assert len(ar.to_text(a)) <= ar.MAX_ARRANGEMENT_CHARS
     a = ar.gen_ceva(316)  # the most pairs and the longest text
     path = tmp_path / "ceva316.json"
-    ar.save(a, path)
+    path.write_text(ar.to_text(a), encoding="utf-8")
     assert ar.load(path) == a
     assert ar.validate(a).t == {3: 316 * 316, 316: 3}
 

@@ -79,7 +79,7 @@ def test_generate_without_out_writes_to_stdout(capsys):
 
 def test_info_of_a_degenerate_arrangement(tmp_path, capsys):
     path = tmp_path / "tri.json"
-    ar.save(ar.gen_general_lines(3), path)
+    path.write_text(ar.to_text(ar.gen_general_lines(3)), encoding="utf-8")
     assert main(["arrangement", "info", "--arrangement", str(path)]) == EXIT_OK
     assert "log ratio undefined (c2 = 0)" in capsys.readouterr().out
 
@@ -249,7 +249,7 @@ def test_invariants_refuses_cover_data_with_no_pth_root(how, tmp_path, monkeypat
         tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, u) for i, u in enumerate((97, 89, 83), 1)),
         tuple(ar.PointDecl(pair) for pair in (("L1", "L2"), ("L1", "L3"), ("L2", "L3"))),
     )
-    ar.save(three, "three.json")
+    Path("three.json").write_text(ar.to_text(three), encoding="utf-8")
     (tmp_path / "row.txt").write_text("p 10007\nblock 1 47 69\n")
     code = main(["invariants", "--arrangement", "three.json", "--p", "10007", *how])
     partitions._quasi_polynomials.cache_clear()  # 2,164,474 cells for --seed
@@ -595,7 +595,7 @@ def test_inconsistent_suffix_counts_exit_as_internal_error(tmp_path, monkeypatch
         tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, u) for i, u in enumerate((1, 2, 3), 1)),
         tuple(ar.PointDecl(pair) for pair in (("L1", "L2"), ("L1", "L3"), ("L2", "L3"))),
     )
-    ar.save(three, "three.json")
+    Path("three.json").write_text(ar.to_text(three), encoding="utf-8")
     real = partitions._quasi_polynomials
 
     def shifted(u):
@@ -813,6 +813,38 @@ def test_edge_values_exit_cleanly(cmd, edge, code, dual_hesse_file, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# flags.line_arrangement in an arrangement file: a JSON boolean, or no key
+# (false); any other value is refused, however a truth test would read it
+_NO_FLAG = object()
+_LINE_FLAG_EDGES = [
+    *[(value, EXIT_VALIDATION) for value in ("false", "no", 0, 1, None, [])],
+    (True, EXIT_OK),
+    (False, EXIT_OK),
+    (_NO_FLAG, EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("action", ["validate", "info"])
+@pytest.mark.parametrize(
+    "value, code", _LINE_FLAG_EDGES,
+    ids=["missing" if v is _NO_FLAG else json.dumps(v) for v, _ in _LINE_FLAG_EDGES],
+)
+def test_line_arrangement_flag_edges(value, code, action, tmp_path, capsys):
+    # ceva(3) is a line arrangement: only a true flag runs its diagnostics
+    doc = json.loads(ar.to_text(ar.gen_ceva(3)))
+    del doc["flags"]["line_arrangement"]
+    if value is not _NO_FLAG:
+        doc["flags"]["line_arrangement"] = value
+    path = tmp_path / "ceva3.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["arrangement", action, "--arrangement", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_VALIDATION:
+        assert err == "error: field 'line_arrangement' in flags must be bool\n"
+    else:
+        assert ("ratio-cap" in out) == (value is True and action == "validate")
+
+
 def test_long_rational_refused_before_it_is_built():
     # Fraction("1e9999999") alone computes 10**9999999, about 10 s; past
     # MAX_C_DIGITS digits above or below the bar, C cannot be printed either
@@ -982,7 +1014,7 @@ def test_suffix_cell_budget_refuses_a_large_lcm_block_at_once(p, tmp_path, capsy
     path = tmp_path / "weighted.json"
     curves = tuple(ar.CurveDecl(f"L{i}", 0, 1, 1, w) for i, w in enumerate((229, 227, 223)))
     points = tuple(ar.PointDecl(pair) for pair in (("L0", "L1"), ("L0", "L2"), ("L1", "L2")))
-    ar.save(ar.Arrangement(ar.P2, 1, curves, points), str(path))
+    path.write_text(ar.to_text(ar.Arrangement(ar.P2, 1, curves, points)), encoding="utf-8")
     start = perf_counter()
     code = main(["invariants", "--arrangement", str(path), "--p", p, "--seed", "1"])
     assert code == EXIT_BUDGET

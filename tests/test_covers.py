@@ -177,7 +177,7 @@ def test_integrality_randomized():
         sysd = pt.system_for(a, p)
         if pt.count_solutions(sysd) == 0:
             continue
-        sol = pt.sample_uniform(sysd, rnd.randrange(1 << 30))
+        sol = pt._sample(sysd, random.Random(rnd.randrange(1 << 30)))
         try:
             ma = pt.assign(ra, sol)
         except Exception:
@@ -236,7 +236,7 @@ def test_floor_sum_oracle_matches_engine():
         for p in (7, 31, 101):
             sysd = pt.system_for(a, p)
             for _ in range(5):
-                sol = pt.sample_uniform(sysd, rnd.randrange(1 << 30))
+                sol = pt._sample(sysd, random.Random(rnd.randrange(1 << 30)))
                 ma = pt.assign(ra, sol)
                 rep = cv.report(cv.CoverSpec(p, ra, ma))
                 chi_o, scf_o = floor_sum_oracle(ra, ma)
@@ -299,7 +299,7 @@ def test_weighted_block_cover_end_to_end():
         sysd = pt.system_for(a, p)
         assert sysd.blocks[0].u == (2, 1, 1, 1, 1)
         for seed in range(5):
-            sol = pt.sample_uniform(sysd, seed)
+            sol = pt._sample(sysd, random.Random(seed))
             pt.validate_solution(sysd, sol)
             rep = cv.report(cv.CoverSpec(p, ra, pt.assign(ra, sol)))
             assert 12 * rep.chi == rep.c1_sq + rep.c2
@@ -333,7 +333,7 @@ def test_weighted_block_cover_at_large_p_is_bounded(p):
 
 def test_weighted_scan_at_1e8_runs(tmp_path):
     path = tmp_path / "conic.json"
-    ar.save(_conic_and_four_lines(), str(path))
+    path.write_text(ar.to_text(_conic_and_four_lines()), encoding="utf-8")
     code = main([
         "scan", "--arrangement", str(path), "--primes", "100000007",
         "--samples", "2", "--seed", "1", "--out", str(tmp_path / "scan.csv"),
@@ -414,7 +414,7 @@ def test_cover_spec_accepts_every_sampled_cover(name, p, seed):
     # a uniform solution that assign accepts always leaves B = sum nu_i D_i
     # with B.D_j = 0 mod p, so the p-th root check refuses no real cover
     ra = _GENERATED_RESOLVED[name]
-    sol = pt.sample_uniform(pt.system_for(_GENERATED[name], p), seed)
+    sol = pt._sample(pt.system_for(_GENERATED[name], p), random.Random(seed))
     try:
         ma = pt.assign(ra, sol)
     except ExceptionalVanishes:
@@ -549,7 +549,7 @@ def test_property_fold_matches_the_per_node_fold(name, p, C, seed, pool, data):
     a, ra = _FOLD_ARRANGEMENTS[name], _FOLD_RESOLVED[name]
     sysd = pt.system_for(a, p)
     if pool is None:
-        sol = pt.sample_uniform(sysd, seed)
+        sol = pt._sample(sysd, random.Random(seed))
     else:
         parts = []
         for block in sysd.blocks:

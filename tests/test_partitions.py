@@ -121,7 +121,7 @@ def test_count_budget_counts_stored_levels(monkeypatch):
     pt._quasi_polynomials.cache_clear()
     monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 10)
     assert pt.count_solutions(sysd) == expected
-    pt.validate_solution(sysd, pt.sample_uniform(sysd, 3))
+    pt.validate_solution(sysd, pt._sample(sysd, random.Random(3)))
     pt._quasi_polynomials.cache_clear()
     monkeypatch.setattr(pt, "MAX_SUFFIX_CELLS", 9)
     with pytest.raises(BudgetError, match="of 10 cells"):
@@ -291,9 +291,9 @@ def test_sample_uniform_and_count_match_oracles(us, p, seed):
         want = dp_sample(sysd, seed)
     except EmptySolutionSetError:
         with pytest.raises(EmptySolutionSetError):
-            pt.sample_uniform(sysd, seed)
+            pt._sample(sysd, random.Random(seed))
         return
-    sol = pt.sample_uniform(sysd, seed)
+    sol = pt._sample(sysd, random.Random(seed))
     assert [[sol.mu[c] for c in block.curve_ids] for block in sysd.blocks] == want
 
 
@@ -440,7 +440,7 @@ def test_weighted_sampler_scales_with_log_p():
     sysd = pt.DiophSystem(p, (pt.DiophBlock(tuple("abcde"), u),))
     start = perf_counter()
     for seed in range(100):
-        pt.validate_solution(sysd, pt.sample_uniform(sysd, seed))
+        pt.validate_solution(sysd, pt._sample(sysd, random.Random(seed)))
     assert perf_counter() - start < 1.0
 
 
@@ -448,10 +448,10 @@ def test_sampling_membership_and_determinism():
     sysd = _ones_system(7, 3)
     seen = set()
     for seed in range(40):
-        sol = pt.sample_uniform(sysd, seed)
+        sol = pt._sample(sysd, random.Random(seed))
         pt.validate_solution(sysd, sol)
         seen.add(tuple(sol.mu.values()))
-    assert pt.sample_uniform(sysd, 5) == pt.sample_uniform(sysd, 5)
+    assert pt._sample(sysd, random.Random(5)) == pt._sample(sysd, random.Random(5))
     assert len(seen) > 5
 
 
@@ -459,14 +459,14 @@ def test_sampling_weighted_membership():
     block = pt.DiophBlock(("a", "b", "c"), (1, 2, 3))
     sysd = pt.DiophSystem(61, (block,))
     for seed in range(25):
-        sol = pt.sample_uniform(sysd, seed)
+        sol = pt._sample(sysd, random.Random(seed))
         pt.validate_solution(sysd, sol)
 
 
 def test_sampling_three_blocks_big_prime():
     a = ar.gen_underline_ceva(5)
     sysd = pt.system_for(a, 61169)
-    sol = pt.sample_uniform(sysd, 99)
+    sol = pt._sample(sysd, random.Random(99))
     pt.validate_solution(sysd, sol)
     assert len(sol.mu) == 15
 
@@ -474,7 +474,7 @@ def test_sampling_three_blocks_big_prime():
 def test_sampling_empty_set():
     sysd = _ones_system(3, 5)  # 5 positive parts cannot sum to 3
     with pytest.raises(EmptySolutionSetError):
-        pt.sample_uniform(sysd, 1)
+        pt._sample(sysd, random.Random(1))
 
 
 def _chi_square_uniform(counts, draws, n_outcomes):
@@ -897,7 +897,7 @@ def test_solution_parts_inverts_solution_from_parts():
     assert pt.solution_parts(sysd, sol) == parts
     for block, block_parts in zip(sysd.blocks, parts):  # sysd.blocks order
         assert tuple(sol.mu[cid] for cid in block.curve_ids) == block_parts
-    sampled = pt.sample_uniform(sysd, seed=3)
+    sampled = pt._sample(sysd, random.Random(3))
     assert pt.solution_from_parts(sysd, pt.solution_parts(sysd, sampled)) == sampled
 
 
@@ -905,9 +905,8 @@ def test_partition_file_round_trip():
     dh = ar.gen_ceva(3)
     sysd = pt.system_for(dh, 61169)
     sol = pt.solution_from_parts(sysd, [[1, 2, 3, 4, 5, 6, 7, 8, 61133]])
-    text = pt.solution_to_text(sysd, sol)
+    text = "p 61169\nblock 1 2 3 4 5 6 7 8 61133\n"
     assert pt.solution_from_text(sysd, text) == sol
-    assert text == "p 61169\nblock 1 2 3 4 5 6 7 8 61133\n"
 
 
 def test_partition_file_errors():
