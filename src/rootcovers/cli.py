@@ -295,14 +295,15 @@ def _parse_primes(text: str) -> list[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk:
-            lo_s, hi_s = chunk.split("-", 1)
-            primes.extend(numth.primes_between(int(lo_s), int(hi_s)))
-        else:
-            value = int(chunk)
-            if not is_prime(value):
-                raise ValidationError("p-prime", f"{value} is not prime")
-            primes.append(value)
+        try:
+            lo, *hi = map(int, chunk.split("-", 1))
+        except ValueError:
+            raise ValidationError(
+                "primes-entry", f"--primes entry {chunk!r} is not a prime or a range lo-hi"
+            ) from None
+        if not hi and not is_prime(lo):
+            raise ValidationError("p-prime", f"{lo} is not prime")
+        primes.extend(numth.primes_between(lo, *hi) if hi else [lo])
     if not primes:
         raise ValidationError("no-primes", "no primes given")
     return primes

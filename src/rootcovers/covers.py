@@ -1,6 +1,6 @@
 """Exact Chern invariants of degree-p cyclic root covers.
 
-Given a resolved arrangement with multiplicities nu in (0, p), the cover's
+Given a resolved arrangement and nu in (0, p) by divisor index, the cover's
 invariants decompose into a leading term proportional to p (the log Chern
 data of the base) plus per-node corrections indexed by the residues
 q = p - nu_i' nu_j.  The three invariants consume three different
@@ -59,7 +59,6 @@ from .numth import (
 )
 from .partitions import (
     MultiplicityAssignment,
-    _assigned_nu,
     _node_table,
     sample_good,
     solution_parts,
@@ -97,11 +96,9 @@ class CoverSpec:
             raise ValueError(f"modulus must be a prime >= 3, got {self.p}")
         if self.nu.p != self.p:
             raise ValueError(f"assignment p={self.nu.p} differs from cover p={self.p}")
-        divisors = self.resolved.divisors
-        try:
-            nu = _assigned_nu(self.resolved, self.nu)
-        except KeyError as exc:
-            raise ValueError(f"divisor {exc.args[0]} has no multiplicity") from None
+        divisors, nu = self.resolved.divisors, self.nu.nu
+        if len(nu) != len(divisors):
+            raise ValueError(f"{len(nu)} multiplicities for {len(divisors)} divisors")
         # B = sum nu_i D_i has a p-th root only if B.D_j = 0 mod p for every j
         dots = [n * div.self_int for n, div in zip(nu, divisors)]
         for (i, j), count in self.resolved.nodes.items():
@@ -162,7 +159,7 @@ def _fold(
     offending = []
     walked = {}  # q -> (hit, 12p s, p c, l)
     scf_num = ccf_num = lcf = 0
-    for (i, j), q, count in _node_table(ra, _assigned_nu(ra, ma), p):
+    for (i, j), q, count in _node_table(ra, ma.nu, p):
         terms = walked.get(q)
         if terms is None:
             hit, f, length, e_sum, inverse = _node_walk(q, p, droot, bound)

@@ -14,10 +14,10 @@ inverts one binomial from an integer root that lies below it by AM-GM,
 even roots by isqrt, odd roots by integer Newton steps from a float hint
 that the steps prove, then walks up by a few exact ratio steps), and a
 solution is "good" when none of its node residues p - nu_i' nu_j falls in
-the Farey bad set.  The multiplicities are one list by divisor
-(`_divisor_nu`), and the node residues come from one walk over the
-resolution's nodes and that list (`_node_table`, one inverse per divisor,
-no NodeResidue), which `node_residues` and `covers.report` read as it is.
+the Farey bad set.  nu is in divisor order, as a try's list (`_divisor_nu`)
+or an assignment's tuple; the node residues come from one walk over the
+resolution's nodes and nu (`_node_table`, one inverse per divisor, no
+NodeResidue), which `node_residues` and `covers.report` read as it is.
 One lazy filter over it (`_bad_nodes`) yields the nodes whose residue is a
 Farey neighbour, by the lazy Farey walk (`numth._farey_hit`) with bounds
 its caller takes once: `is_good` keeps them all as its offending list, and
@@ -451,16 +451,16 @@ def _sample(sys: DiophSystem, rng: random.Random) -> PartitionSolution:
 
 @record
 class MultiplicityAssignment:
-    """Each divisor's multiplicity nu in (0, p), by divisor id."""
+    """nu[i] in (0, p) is the multiplicity of the resolution's i-th divisor."""
 
     p: int
-    nu: dict[str, int]
+    nu: tuple[int, ...]
 
     def __post_init__(self):
-        for did, value in self.nu.items():
+        for i, value in enumerate(self.nu):
             if not 0 < value < self.p:
                 raise ValidationError(
-                    "nu-range", f"nu[{did}] = {value} is outside (0, {self.p})"
+                    "nu-range", f"nu[{i}] = {value} is outside (0, {self.p})"
                 )
 
 
@@ -494,13 +494,7 @@ def assign(
             f"blow-up divisor {div.id} over {div.curves} "
             f"gets multiplicity 0 mod {sol.p}"
         )
-    return MultiplicityAssignment(sol.p, {div.id: n for div, n in zip(resolved.divisors, nu)})
-
-
-def _assigned_nu(resolved: ResolvedArrangement, ma: MultiplicityAssignment) -> list[int]:
-    """ma's multiplicities as a list in divisor order, the form _node_table
-    reads; a divisor with no multiplicity raises KeyError."""
-    return [ma.nu[div.id] for div in resolved.divisors]
+    return MultiplicityAssignment(sol.p, tuple(nu))
 
 
 @record
@@ -512,7 +506,7 @@ class NodeResidue:
     count: int
 
 
-def _node_table(resolved: ResolvedArrangement, nu: list[int], p: int):
+def _node_table(resolved: ResolvedArrangement, nu, p: int):
     """Yield ((i, j), q, count) for each intersecting divisor pair, lazily,
     in node_residues order, with divisor indices and no NodeResidue; nu[i]
     is divisor i's multiplicity.  The resolution keeps the pairs in (i, j)
@@ -535,11 +529,11 @@ def node_residues(
     divisors = resolved.divisors
     return [
         NodeResidue((divisors[i].id, divisors[j].id), q, count)
-        for (i, j), q, count in _node_table(resolved, _assigned_nu(resolved, ma), ma.p)
+        for (i, j), q, count in _node_table(resolved, ma.nu, ma.p)
     ]
 
 
-def _bad_nodes(resolved: ResolvedArrangement, nu: list[int], p: int, droot: int, bound: int):
+def _bad_nodes(resolved: ResolvedArrangement, nu, p: int, droot: int, bound: int):
     """Yield ((i, j), q) for each node whose residue is a Farey neighbour,
     lazily, in node order: the one Farey filter over _node_table, with
     droot and bound from _farey_bounds taken by the caller.  A caller that
@@ -567,7 +561,7 @@ def is_good(
 ) -> GoodnessReport:
     """Good iff no node residue is a Farey neighbour (_bad_nodes)."""
     divisors, p = resolved.divisors, ma.p
-    bad = _bad_nodes(resolved, _assigned_nu(resolved, ma), p, *_farey_bounds(p, config))
+    bad = _bad_nodes(resolved, ma.nu, p, *_farey_bounds(p, config))
     return GoodnessReport(tuple(((divisors[i].id, divisors[j].id), q) for (i, j), q in bad))
 
 
@@ -595,8 +589,8 @@ def sample_good(
     fully deterministic in `seed`.  A try works on its multiplicities as
     one list by divisor (_divisor_nu) against Farey bounds taken once per
     call, and stops at its first node in the bad set (_bad_nodes), so only
-    an accepted try checks every node, and only it builds the
-    MultiplicityAssignment (equal to assign's) and the GoodSample.
+    an accepted try checks every node, and only it freezes its list into the
+    MultiplicityAssignment (as assign does) and builds the GoodSample.
     max_tries x nodes above MAX_SAMPLING_NODES, the worst case, is refused
     before the first draw.
     """
@@ -616,8 +610,7 @@ def sample_good(
         nu = _divisor_nu(resolved, sol)
         if 0 in nu or next(_bad_nodes(resolved, nu, p, droot, bound), None) is not None:
             continue
-        ma = MultiplicityAssignment(p, {div.id: n for div, n in zip(resolved.divisors, nu)})
-        return GoodSample(sol, ma, tries)
+        return GoodSample(sol, MultiplicityAssignment(p, tuple(nu)), tries)
     raise ExhaustedTries(max_tries)
 
 

@@ -104,7 +104,8 @@ def floor_sum_oracle(
     if p > max_p:
         raise BudgetError(f"floor-sum oracle at p={p} exceeds the budget {max_p}")
     divisors = ra.divisors
-    nu = [ma.nu[d.id] for d in divisors]
+    nu = ma.nu
+    assert len(nu) == len(divisors)
     pairs = sorted(ra.nodes.items())
 
     # chi from the quadratic floor-sum accumulation

@@ -671,6 +671,21 @@ def test_scan_checks_samples_and_tries_before_parsing_primes(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["5-", "-5", "a", "1e3", "0x11", "7-11-13", "1" * 5000],
+    ids=["5-", "-5", "a", "1e3", "0x11", "7-11-13", "5000-digits"],
+)
+def test_scan_names_an_unparsable_primes_entry(entry, dual_hesse_file, capsys):
+    code = main([
+        "scan", "--arrangement", dual_hesse_file, "--primes", f"10103, {entry}", "--seed", "1",
+    ])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: --primes entry {entry!r} is not a prime or a range lo-hi\n"
+    )
+
+
 def test_invariants_ignores_max_tries_with_a_partition_file(dual_hesse_file, tmp_path, capsys):
     part = tmp_path / "row1.txt"
     part.write_text("p 61169\nblock 1 2 3 4 5 6 7 8 61133\n")
@@ -779,6 +794,11 @@ _EDGE_CASES = [
     ("invariants", ["--max-tries", "0"], EXIT_VALIDATION),
     ("scan", ["--max-tries", "0"], EXIT_VALIDATION),
     ("scan", ["--samples", "0"], EXIT_VALIDATION),
+    # --primes entries that are neither an integer nor a range lo-hi
+    *[
+        ("scan", ["--primes", entry], EXIT_VALIDATION)
+        for entry in ("5-", "-5", "a", "1e3", "0x11", "7-11-13")
+    ],
 ]
 
 

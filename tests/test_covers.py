@@ -120,7 +120,8 @@ def test_orientation_invariance():
             for (i, j), count in ra.nodes.items()
         },
     )
-    rep2 = cv.report(cv.CoverSpec(61169, flipped, ma))
+    flipped_ma = pt.MultiplicityAssignment(61169, ma.nu[::-1])  # nu in the flipped order
+    rep2 = cv.report(cv.CoverSpec(61169, flipped, flipped_ma))
     assert (rep.chi, rep.c1_sq, rep.c2) == (rep2.chi, rep2.c1_sq, rep2.c2)
     assert rep.error_terms == rep2.error_terms
 
@@ -134,9 +135,8 @@ def test_example_closed_forms_general_lines(p):
         lines = ar.gen_general_lines(r)
         rl = ar.resolve(lines)
         for q in range(1, r):
-            nu = {f"L{i + 1}": 1 for i in range(r - 1)}
-            nu[f"L{r}"] = p - q
-            ma = pt.MultiplicityAssignment(p, nu)
+            assert [div.id for div in rl.divisors] == [f"L{i + 1}" for i in range(r)]
+            ma = pt.MultiplicityAssignment(p, (1,) * (r - 1) + (p - q,))
             terms, _ = cv._fold(rl, ma, FareyConfig())
             chi_closed = (
                 p
@@ -191,7 +191,8 @@ def test_cover_spec_refuses_nu_with_no_pth_root():
     # no p-th root: B.L1 = 1 + 2 + 3 is not 0 mod 7.  That is bad input,
     # refused before any evaluation, so a non-integer invariant is a bug
     rt = ar.resolve(ar.gen_general_lines(3))
-    ma = pt.MultiplicityAssignment(7, {"L1": 1, "L2": 2, "L3": 3})
+    assert [div.id for div in rt.divisors] == ["L1", "L2", "L3"]
+    ma = pt.MultiplicityAssignment(7, (1, 2, 3))
     with pytest.raises(ValidationError, match="B.L1 = 6 is not 0 mod 7") as info:
         cv.CoverSpec(7, rt, ma)
     assert info.value.code == "no-root"
@@ -247,7 +248,8 @@ def test_floor_sum_oracle_matches_engine():
 def test_floor_sum_oracle_invalid_nu_rational():
     tri = ar.gen_general_lines(3)
     rt = ar.resolve(tri)
-    ma = pt.MultiplicityAssignment(7, {"L1": 1, "L2": 2, "L3": 3})
+    assert [div.id for div in rt.divisors] == ["L1", "L2", "L3"]
+    ma = pt.MultiplicityAssignment(7, (1, 2, 3))
     chi_o, scf_o = floor_sum_oracle(rt, ma)
     terms, _ = cv._fold(rt, ma, FareyConfig())
     assert chi_o == cv._invariants(rt, terms)[0] == Fraction(5, 7)
@@ -444,8 +446,7 @@ def _count_walks(monkeypatch):
 def _residue_weights(spec):
     """q -> summed count of the nodes with residue q, in first-seen order."""
     weights = Counter()
-    nu = pt._assigned_nu(spec.resolved, spec.nu)
-    for _, q, count in pt._node_table(spec.resolved, nu, spec.p):
+    for _, q, count in pt._node_table(spec.resolved, spec.nu.nu, spec.p):
         weights[q] += count
     return weights
 
@@ -669,10 +670,16 @@ def test_cover_spec_refuses_a_mismatched_or_partial_assignment():
     spec = _dual_hesse_cover(61169, [1, 2, 3, 4, 5, 6, 7, 8, 61133])
     with pytest.raises(ValueError, match="differs from cover p"):
         cv.CoverSpec(61169, spec.resolved, pt.MultiplicityAssignment(61171, spec.nu.nu))
-    partial = dict(spec.nu.nu)
-    del partial["E12"]
-    with pytest.raises(ValueError, match="E12 has no multiplicity"):
+    # a nu that leaves out the last divisor (E12) is refused by its length
+    assert spec.resolved.divisors[-1].id == "E12"
+    partial = spec.nu.nu[:-1]
+    with pytest.raises(ValueError, match="^20 multiplicities for 21 divisors$"):
         cv.CoverSpec(61169, spec.resolved, pt.MultiplicityAssignment(61169, partial))
+    with pytest.raises(ValueError, match="^22 multiplicities for 21 divisors$"):
+        cv.CoverSpec(61169, spec.resolved, pt.MultiplicityAssignment(61169, spec.nu.nu + (1,)))
+    # the p check comes before the length check
+    with pytest.raises(ValueError, match="differs from cover p"):
+        cv.CoverSpec(61169, spec.resolved, pt.MultiplicityAssignment(61171, partial))
 
 
 def test_report_raises_a_noether_mismatch(monkeypatch):

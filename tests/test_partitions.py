@@ -533,14 +533,16 @@ def test_assign_dual_hesse_example():
     sol = pt.solution_from_parts(sysd, [[1, 2, 3, 4, 5, 6, 7, 8, 61133]])
     ma = pt.assign(ra, sol)
     heavy = [p_ for p_ in dh.points if len(p_.curves) >= 3]
+    ids = [div.id for div in ra.divisors]
     for k, point in enumerate(heavy):
         if set(point.curves) == {"A0", "A1", "A2"}:
-            assert ma.nu[f"E{k + 1}"] == 6
+            assert ma.nu[ids.index(f"E{k + 1}")] == 6
             break
     else:
         pytest.fail("pencil point not found")
-    for div in ra.divisors:
-        assert 0 < ma.nu[div.id] < 61169
+    assert len(ma.nu) == len(ra.divisors)
+    for nu in ma.nu:
+        assert 0 < nu < 61169
 
 
 def test_assign_exceptional_vanishes():
@@ -575,7 +577,7 @@ def test_assign_triangle_identity():
     sysd = pt.system_for(tri, 11)
     sol = pt.solution_from_parts(sysd, [[2, 4, 5]])
     ma = pt.assign(ra, sol)
-    assert ma.nu == sol.mu
+    assert ma.nu == tuple(sol.mu[div.id] for div in ra.divisors)
 
 
 def _flipped(ra):
@@ -606,7 +608,7 @@ def test_resolution_fixes_node_order(make):
     assert list(ra.nodes) == sorted(ra.nodes)
     assert ra.t2_total == sum(ra.nodes.values())
     p = 101
-    nu = {d.id: 1 + i % (p - 1) for i, d in enumerate(ra.divisors)}
+    nu = tuple(1 + i % (p - 1) for i in range(len(ra.divisors)))
     ma = pt.MultiplicityAssignment(p, nu)
     idx = {d.id: i for i, d in enumerate(ra.divisors)}
     pairs = [(idx[a], idx[b]) for a, b in (n.pair for n in pt.node_residues(ra, ma))]
@@ -616,7 +618,8 @@ def test_resolution_fixes_node_order(make):
 def test_node_residue_examples():
     tri = ar.gen_general_lines(3)
     ra = ar.resolve(tri)
-    ma = pt.MultiplicityAssignment(7, {"L1": 2, "L2": 3, "L3": 1})
+    nu = {"L1": 2, "L2": 3, "L3": 1}
+    ma = pt.MultiplicityAssignment(7, tuple(nu[div.id] for div in ra.divisors))
     residues = {n.pair: n.q for n in pt.node_residues(ra, ma)}
     # nu_i = nu_j = 1 would give p - 1; here (2,3): 2' = 4, 4*3 = 12 = 5, q = 2
     assert residues[("L1", "L2")] == 2
@@ -629,7 +632,7 @@ def test_node_residue_examples():
 def test_node_residues_all_ones():
     tri = ar.gen_general_lines(4)
     ra = ar.resolve(tri)
-    ma = pt.MultiplicityAssignment(11, {f"L{i}": 1 for i in range(1, 5)})
+    ma = pt.MultiplicityAssignment(11, (1,) * len(ra.divisors))
     for node in pt.node_residues(ra, ma):
         assert node.q == 10  # p - 1
 
@@ -755,7 +758,7 @@ def test_an_accepted_sample_holds_assigns_multiplicities(make, args, p, C):
         except ExhaustedTries:
             continue
         assert good.assignment == pt.assign(ra, good.solution)
-        assert list(good.assignment.nu) == [div.id for div in ra.divisors]
+        assert len(good.assignment.nu) == len(ra.divisors)
         accepted += 1
     assert accepted
 
@@ -805,7 +808,7 @@ def test_bad_nodes_yields_is_goods_offending_list_lazily(make, args, p, C, monke
 
     for seed in range(5):
         ma = pt.assign(ra, pt._sample(pt.system_for(a, p), random.Random(seed)))
-        nu, bounds = pt._assigned_nu(ra, ma), numth._farey_bounds(p, config)
+        nu, bounds = ma.nu, numth._farey_bounds(p, config)
         bad = list(pt._bad_nodes(ra, nu, p, *bounds))
         assert [((ids[i], ids[j]), q) for (i, j), q in bad] == list(pt.is_good(ra, ma, config).offending)
         residues = [q for _, q, _ in pt._node_table(ra, nu, p)]
@@ -966,7 +969,7 @@ def test_solution_from_text_fuzz_raises_only_format_or_validation_errors(lines):
         (lambda: pt.DiophBlock(("a", "b"), (2, 4)), "block-gcd"),
         (lambda: pt.DiophSystem(9, _ones_system(7, 3).blocks), "p-prime"),
         (lambda: pt.DiophSystem(7, ()), "no-blocks"),
-        (lambda: pt.MultiplicityAssignment(7, {"E1": 7}), "nu-range"),
+        (lambda: pt.MultiplicityAssignment(7, (7,)), "nu-range"),
         (lambda: pt.validate_solution(
             _ones_system(7, 3), pt.PartitionSolution(11, {"c0": 1})), "p-mismatch"),
         (lambda: pt.validate_solution(
@@ -982,6 +985,14 @@ def test_system_and_solution_checks_raise_their_codes(make, code):
     with pytest.raises(ValidationError) as err:
         make()
     assert err.value.code == code
+
+
+def test_nu_range_names_the_divisor_index():
+    # nu is in divisor order, so the message names the index into it
+    with pytest.raises(ValidationError, match=r"^nu\[3\] = 7 is outside \(0, 7\)$"):
+        pt.MultiplicityAssignment(7, (1, 2, 3, 7))
+    with pytest.raises(ValidationError, match=r"^nu\[1\] = 0 is outside \(0, 7\)$"):
+        pt.MultiplicityAssignment(7, (6, 0))
 
 
 def test_partition_file_duplicate_p_line():
